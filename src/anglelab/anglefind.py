@@ -88,6 +88,16 @@ def find_monochromatic_triangle(colors: np.ndarray) -> Optional[tuple[int, int, 
     return None
 
 
+def _side_ratio(v: list[np.ndarray]) -> float:
+    """Longest over shortest side of the triangle with vertices v."""
+    sides = [
+        float(np.linalg.norm(v[0] - v[1])),
+        float(np.linalg.norm(v[1] - v[2])),
+        float(np.linalg.norm(v[0] - v[2])),
+    ]
+    return max(sides) / min(sides)
+
+
 @dataclass(frozen=True)
 class TriangleWitness:
     """Three cloud points whose side lengths agree to within one interval."""
@@ -97,13 +107,7 @@ class TriangleWitness:
     color: int
 
     def recompute_ratio(self) -> float:
-        v = [np.asarray(p, dtype=float) for p in self.vertices]
-        sides = [
-            float(np.linalg.norm(v[0] - v[1])),
-            float(np.linalg.norm(v[1] - v[2])),
-            float(np.linalg.norm(v[0] - v[2])),
-        ]
-        return max(sides) / min(sides)
+        return _side_ratio([np.asarray(p, dtype=float) for p in self.vertices])
 
     def to_json_dict(self, params: dict | None = None) -> dict:
         out = {
@@ -155,13 +159,8 @@ def almost_regular_triangle(
         cloud.point(best[j]),
         cloud.point(best[m]),
     )
-    v = [np.asarray(p) for p in vertices]
-    sides = [
-        float(np.linalg.norm(v[0] - v[1])),
-        float(np.linalg.norm(v[1] - v[2])),
-        float(np.linalg.norm(v[0] - v[2])),
-    ]
-    return TriangleWitness(vertices, max(sides) / min(sides), int(colors[i, j]))
+    ratio = _side_ratio([np.asarray(p) for p in vertices])
+    return TriangleWitness(vertices, ratio, int(colors[i, j]))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ from .geom import (
     AngleInterval,
     PointCloud,
     _total_triples,
-    angle_spectrum,
+    _triple_angle_blocks,
+    angle_spectrum,  # noqa: F401  # benchmarks/test_counters.py calls cli.angle_spectrum
     spectrum_hits,
 )
 from .ifs import (
@@ -164,15 +165,17 @@ def _cmd_spectrum(args) -> int:
     cloud = _load_cloud(args.cloud)
     window = AngleInterval(args.alpha, args.window)
     witness = spectrum_hits(cloud, window, budget=args.budget, seed=args.seed)
-    pairs = angle_spectrum(cloud, budget=args.budget, seed=args.seed)
-    angles = np.array([a for a, _ in pairs], dtype=float)
-    counts, edges = np.histogram(angles, bins=np.linspace(0.0, 180.0, 37))
+    edges = np.linspace(0.0, 180.0, 37)
+    counts = sum(
+        np.histogram(ang, bins=edges)[0]
+        for *_, ang in _triple_angle_blocks(cloud.points, args.budget, args.seed)
+    )
     total = _total_triples(len(cloud))
     payload = {
         "window": [window.lo, window.hi],
         "exhaustive": args.budget is None or args.budget >= total,
         "total_triples": total,
-        "scanned": len(pairs),
+        "scanned": int(counts.sum()),
         "witness": None
         if witness is None
         else witness.to_json_dict(

@@ -162,7 +162,6 @@ def dyadic_content(grid: DyadicGrid, s: float) -> ContentResult:
         if flags[level][idx]:
             cover.append((level, idx))
             continue
-        base = tuple(c << 1 for c in idx)
         for child in values[level + 1]:
             if tuple(c >> 1 for c in child) == idx:
                 stack.append((level + 1, child))
@@ -176,6 +175,26 @@ class DenseCubeResult(NamedTuple):
     meets_lemma: bool
 
 
+def _densest_cube(
+    values: list[dict[Cell, float]], s: float, top_level: int
+) -> tuple[Cube, float]:
+    """Cube of level <= top_level maximizing its tree value over edge^s, and that ratio.
+
+    Ties go to the coarsest level, then the smallest index.
+    """
+    best: Cube | None = None
+    best_val = -1.0
+    for level in range(top_level + 1):
+        edge_pow = (2.0 ** (-level)) ** s
+        for idx in sorted(values[level]):
+            ratio = values[level][idx] / edge_pow
+            if ratio > best_val:
+                best_val = ratio
+                best = (level, idx)
+    assert best is not None
+    return best, best_val
+
+
 def dense_cube(grid: DyadicGrid, s: float) -> DenseCubeResult:
     """Dyadic cube maximizing content of the restriction over edge^s.
 
@@ -187,16 +206,7 @@ def dense_cube(grid: DyadicGrid, s: float) -> DenseCubeResult:
     if s <= 0.0:
         raise AngleLabError("content exponent must be positive")
     values, _ = _tree_values(grid, s)
-    best: Cube | None = None
-    best_val = -1.0
-    for level in range(grid.levels + 1):
-        edge_pow = (2.0 ** (-level)) ** s
-        for idx in sorted(values[level]):
-            ratio = values[level][idx] / edge_pow
-            if ratio > best_val:
-                best_val = ratio
-                best = (level, idx)
-    assert best is not None
+    best, best_val = _densest_cube(values, s, grid.levels)
     return DenseCubeResult(best, best_val, best_val >= 2.0 ** (-2.0 - s))
 
 
@@ -235,16 +245,7 @@ def microset_zoom(grid: DyadicGrid, s: float, delta: float) -> ZoomResult:
         raise InvalidDelta("delta admits no cube at this grid resolution")
     s_zoom = s - 2.0 * delta
     values, _ = _tree_values(grid, s_zoom)
-    best: Cube | None = None
-    best_val = -1.0
-    for level in range(min(max_level, m) + 1):
-        edge_pow = (2.0 ** (-level)) ** s_zoom
-        for idx in sorted(values[level]):
-            ratio = values[level][idx] / edge_pow
-            if ratio > best_val:
-                best_val = ratio
-                best = (level, idx)
-    assert best is not None
+    best, best_val = _densest_cube(values, s_zoom, min(max_level, m))
     level, anchor = best
     shift = m - level
     inside = [

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     AngleLabError,
+    BudgetExceeded,
     DegenerateVector,
     DimensionMismatch,
     EmptyCloud,
@@ -295,36 +296,66 @@ def _require_cloud(cloud: PointCloud, least: int):
 
 
 def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
-    """Deterministic sample of distinct (apex, i, j) triples with i < j."""
+    """Deterministic sample of distinct (apex, i, j) triples with i < j.
+
+    Each round draws `take` index triples and keeps, in draw order, the
+    valid ones not kept before, until `budget` are kept; the result is
+    sorted.  The caller ensures the triple space is larger than the
+    budget, so the rounds end.  Triples are packed into int64 keys
+    (apex*n + i)*n + j, which bounds n by 2^21 - 1.
+    """
+    if n**3 > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"sampled triple scans take at most 2097151 points, not {n}")
     rng = np.random.default_rng(seed)
-    seen: set[tuple[int, int, int]] = set()
-    out = []
-    # Oversample in rounds; the loop terminates because the triple space
-    # is larger than the budget whenever sampling is used.
-    while len(out) < budget:
-        take = max(1024, 2 * (budget - len(out)))
+    kept = np.empty(0, dtype=np.int64)  # sorted keys
+    while len(kept) < budget:
+        take = max(1024, 2 * (budget - len(kept)))
         a = rng.integers(0, n, size=take)
         i = rng.integers(0, n, size=take)
         j = rng.integers(0, n, size=take)
-        for t in range(take):
-            aa, ii, jj = int(a[t]), int(i[t]), int(j[t])
-            if ii > jj:
-                ii, jj = jj, ii
-            if aa == ii or aa == jj or ii == jj:
-                continue
-            key = (aa, ii, jj)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(key)
-            if len(out) == budget:
-                break
-    arr = np.array(sorted(out), dtype=np.int64)
-    return arr
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        drawn = ((a * n + i) * n + j)[(a != i) & (a != j) & (i != j)]
+        keys, first = np.unique(drawn, return_index=True)  # first draw of each
+        first = first[~np.isin(keys, kept, assume_unique=True)]
+        new = np.sort(drawn[np.sort(first)][: budget - len(kept)])
+        kept = np.insert(kept, np.searchsorted(kept, new), new)
+    return np.stack([kept // (n * n), kept // n % n, kept % n], axis=1)
 
 
 def _total_triples(n: int) -> int:
     return n * ((n - 1) * (n - 2) // 2)
+
+
+def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
+    """Apex angles of the cloud's triples, as blocks (apex, arm1, arm2, angles).
+
+    The blocks are index arrays and float64 degrees in lexicographic
+    (apex, arm1, arm2) order with arm1 < arm2; triples with an arm no
+    longer than the cloud's degeneracy threshold are left out.  Without
+    a budget, or with one no smaller than the triple count, every triple
+    is measured, one block per apex.  Otherwise a single block holds the
+    seeded sample of `budget` triples, measured with the same formula.
+    """
+    n = pts.shape[0]
+    threshold = _cloud_threshold(pts)
+    if budget is not None and budget < _total_triples(n):
+        a, i, j = _sampled_triples(n, budget, seed).T
+        u = pts[i] - pts[a]
+        v = pts[j] - pts[a]
+        nu = np.sqrt(np.einsum("ij,ij->i", u, u))
+        nv = np.sqrt(np.einsum("ij,ij->i", v, v))
+        ok = (nu > threshold) & (nv > threshold)
+        u = u[ok] / nu[ok][:, None]
+        v = v[ok] / nv[ok][:, None]
+        cos = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
+        yield a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
+        return
+    for a in range(n):
+        got = _apex_pair_angles(pts, a, threshold)
+        if got is None:
+            continue
+        arms, iu, ju, ang = got
+        yield np.full(ang.shape[0], a), arms[iu], arms[ju], ang
 
 
 def angle_spectrum(
@@ -341,36 +372,13 @@ def angle_spectrum(
     enough that the full list fits in memory.
     """
     _require_cloud(cloud, 3)
-    pts = cloud.points
-    n = pts.shape[0]
-    threshold = _cloud_threshold(pts)
-
-    quads = []  # (angle, apex, i, j)
-    if budget is not None and budget < _total_triples(n):
-        triples = _sampled_triples(n, budget, seed)
-        for a, i, j in triples:
-            u = pts[i] - pts[a]
-            v = pts[j] - pts[a]
-            nu = math.sqrt(float(u @ u))
-            nv = math.sqrt(float(v @ v))
-            if nu <= threshold or nv <= threshold:
-                continue
-            c = max(-1.0, min(1.0, float(u @ v) / (nu * nv)))
-            quads.append((math.degrees(math.acos(c)), int(a), int(i), int(j)))
-    else:
-        for a in range(n):
-            got = _apex_pair_angles(pts, a, threshold)
-            if got is None:
-                continue
-            arms, iu, ju, ang = got
-            for t in range(ang.shape[0]):
-                quads.append((float(ang[t]), a, int(arms[iu[t]]), int(arms[ju[t]])))
-
-    quads.sort(key=lambda q: (q[0], q[1], q[2], q[3]))
+    blocks = _triple_angle_blocks(cloud.points, budget, seed)
+    a, i, j, ang = (np.concatenate(column) for column in zip(*blocks))
+    points = [cloud.point(k) for k in range(len(cloud))]
     out = []
-    for ang, a, i, j in quads:
-        w = TripleWitness(cloud.point(a), cloud.point(i), cloud.point(j), ang)
-        out.append((ang, w))
+    for t in np.lexsort((j, i, a, ang)):
+        angle = float(ang[t])
+        out.append((angle, TripleWitness(points[a[t]], points[i[t]], points[j[t]], angle)))
     return out
 
 
@@ -386,35 +394,10 @@ def spectrum_hits(
     so `None` with no budget is an exhaustive absence statement.
     """
     _require_cloud(cloud, 3)
-    pts = cloud.points
-    n = pts.shape[0]
-    threshold = _cloud_threshold(pts)
-
-    if budget is not None and budget < _total_triples(n):
-        triples = _sampled_triples(n, budget, seed)
-        for a, i, j in triples:
-            u = pts[i] - pts[a]
-            v = pts[j] - pts[a]
-            nu = math.sqrt(float(u @ u))
-            nv = math.sqrt(float(v @ v))
-            if nu <= threshold or nv <= threshold:
-                continue
-            c = max(-1.0, min(1.0, float(u @ v) / (nu * nv)))
-            ang = math.degrees(math.acos(c))
-            if window.contains_open(ang):
-                exact = angle_at(cloud.point(a), cloud.point(i), cloud.point(j))
-                return TripleWitness(cloud.point(a), cloud.point(i), cloud.point(j), exact)
-        return None
-
-    for a in range(n):
-        got = _apex_pair_angles(pts, a, threshold)
-        if got is None:
-            continue
-        arms, iu, ju, ang = got
+    for *triple, ang in _triple_angle_blocks(cloud.points, budget, seed):
         hit = (ang > window.lo) & (ang < window.hi)
         if hit.any():
             t = int(np.argmax(hit))
-            i, j = int(arms[iu[t]]), int(arms[ju[t]])
-            exact = angle_at(cloud.point(a), cloud.point(i), cloud.point(j))
-            return TripleWitness(cloud.point(a), cloud.point(i), cloud.point(j), exact)
+            apex, p, q = (cloud.point(int(index[t])) for index in triple)
+            return TripleWitness(apex, p, q, angle_at(apex, p, q))
     return None

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import spectrum_oracle
 from anglelab import PointCloud
 from anglelab.cli import _HANDLERS, build_parser, main
+from anglelab.geom import AngleInterval
 from anglelab.ifs import deviation_of_corners
 
 EQ_CLOUD = {
@@ -94,6 +97,37 @@ def test_spectrum_needs_three_points(tmp_path, capsys):
     cloud = write_cloud(tmp_path, {"dimension": 2, "points": [[0, 0], [1, 0]]})
     assert main(["spectrum", "--cloud", cloud, "--alpha", "30", "--window", "5"]) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_spectrum_json_matches_reference_scan(capsys, tmp_path):
+    gasket = str(tmp_path / "gasket.json")
+    argv = ["gasket", "--n", "2", "--delta", "0.005", "--depth", "2", "--out", gasket]
+    assert main(argv) == 0
+    normal = np.random.default_rng(8).normal(size=(14, 3))
+    clouds = [gasket, write_cloud(tmp_path, {"dimension": 3, "points": normal.tolist()})]
+    for path in clouds:
+        cloud = PointCloud.from_json_dict(json.loads(open(path).read()))
+        n = len(cloud)
+        for alpha, radius in ((30.0, 5.0), (60.0, 5.0), (90.0, 0.5)):
+            argv = ["spectrum", "--cloud", path, "--alpha", str(alpha), "--window", str(radius)]
+            code = main(argv)
+            out = capsys.readouterr().out
+            want = spectrum_oracle.spectrum_payload(
+                cloud, AngleInterval(alpha, radius), alpha, radius
+            )
+            assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+            assert code == (1 if want["witness"] is None else 0)
+            data = json.loads(out)
+            assert data["scanned"] == data["total_triples"] == n * math.comb(n - 1, 2)
+            assert sum(count for _, _, count in data["histogram"]) == data["scanned"]
+        code, data = run_json(
+            capsys,
+            ["spectrum", "--cloud", path, "--alpha", "30", "--window", "5",
+             "--budget", "500", "--seed", "3"],
+        )
+        assert data["exhaustive"] is False
+        assert data["scanned"] == 500
+        assert sum(count for _, _, count in data["histogram"]) == 500
 
 
 def test_minkdim_matches_library(capsys, tmp_path):
