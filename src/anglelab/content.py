@@ -97,33 +97,33 @@ def from_points(
 
 def _tree_values(
     grid: DyadicGrid, s: float
-) -> tuple[list[dict[Cell, float]], list[dict[Cell, bool]]]:
-    """Minimal cover value and take-own-cube flag for every nonempty node.
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Per-level arrays of the nonempty nodes with their minimal cover values.
 
-    values[j][idx] is the cheapest cover of the occupied cells inside the
-    level-j cube idx; flags[j][idx] says whether the single cube idx
-    itself achieves it (ties prefer the coarser cube).
+    cells[j] holds the nonempty level-j cubes as lexicographically sorted
+    int64 index rows, and parents[j] gives each one's row in cells[j-1]
+    (parents[0] is empty).  values[j] is the cheapest cover of the occupied
+    cells inside each cube; flags[j] says whether the cube itself achieves
+    it (ties prefer the coarser cube).
     """
-    m = grid.levels
-    values: list[dict[Cell, float]] = [dict() for _ in range(m + 1)]
-    flags: list[dict[Cell, bool]] = [dict() for _ in range(m + 1)]
-    leaf = (2.0 ** (-m)) ** s
-    for cell in grid.occupied:
-        values[m][cell] = leaf
-        flags[m][cell] = True
+    m, d = grid.levels, grid.dimension
+    cells = [np.array(sorted(grid.occupied), dtype=np.int64).reshape(-1, d)]
+    values = [np.full(len(cells[0]), (2.0 ** (-m)) ** s)]
+    flags = [np.ones(len(cells[0]), dtype=bool)]
+    parents = []
     for j in range(m - 1, -1, -1):
+        up, inverse = np.unique(cells[0] >> 1, axis=0, return_inverse=True)
+        parents.insert(0, inverse.reshape(-1))
+        # np.add.at adds in index order, so each parent gets the canonical
+        # left-to-right sum of its children in sorted order
+        sums = np.zeros(len(up))
+        np.add.at(sums, parents[0], values[0])
         own = (2.0 ** (-j)) ** s
-        sums: dict[Cell, float] = {}
-        # accumulate children in sorted order so the value is a canonical
-        # left-to-right sum, reproducible across interpreter runs
-        for child in sorted(values[j + 1]):
-            parent = tuple(c >> 1 for c in child)
-            sums[parent] = sums.get(parent, 0.0) + values[j + 1][child]
-        for parent, child_sum in sums.items():
-            take = own <= child_sum
-            values[j][parent] = own if take else child_sum
-            flags[j][parent] = take
-    return values, flags
+        cells.insert(0, up)
+        flags.insert(0, own <= sums)
+        values.insert(0, np.where(flags[0], own, sums))
+    parents.insert(0, np.zeros(0, dtype=np.intp))
+    return cells, values, flags, parents
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,15 @@ def dyadic_content(grid: DyadicGrid, s: float) -> ContentResult:
         raise AngleLabError("content exponent must be positive")
     if not grid.occupied:
         return ContentResult(0.0, float(s), ())
-    values, flags = _tree_values(grid, s)
-    root: Cell = (0,) * grid.dimension
+    cells, values, flags, parents = _tree_values(grid, s)
+    # top-down: a node is reached when no ancestor took its own cube
     cover: list[Cube] = []
-    stack: list[Cube] = [(0, root)]
-    while stack:
-        level, idx = stack.pop()
-        if flags[level][idx]:
-            cover.append((level, idx))
-            continue
-        for child in values[level + 1]:
-            if tuple(c >> 1 for c in child) == idx:
-                stack.append((level + 1, child))
-    cover.sort()
-    return ContentResult(values[0][root], float(s), tuple(cover))
+    reached = np.ones(1, dtype=bool)
+    for j in range(grid.levels + 1):
+        if j:
+            reached = (reached & ~flags[j - 1])[parents[j]]
+        cover += [(j, tuple(idx)) for idx in cells[j][reached & flags[j]].tolist()]
+    return ContentResult(float(values[0][0]), float(s), tuple(cover))
 
 
 class DenseCubeResult(NamedTuple):
@@ -176,7 +171,7 @@ class DenseCubeResult(NamedTuple):
 
 
 def _densest_cube(
-    values: list[dict[Cell, float]], s: float, top_level: int
+    cells: list[np.ndarray], values: list[np.ndarray], s: float, top_level: int
 ) -> tuple[Cube, float]:
     """Cube of level <= top_level maximizing its tree value over edge^s, and that ratio.
 
@@ -185,12 +180,11 @@ def _densest_cube(
     best: Cube | None = None
     best_val = -1.0
     for level in range(top_level + 1):
-        edge_pow = (2.0 ** (-level)) ** s
-        for idx in sorted(values[level]):
-            ratio = values[level][idx] / edge_pow
-            if ratio > best_val:
-                best_val = ratio
-                best = (level, idx)
+        ratios = values[level] / (2.0 ** (-level)) ** s
+        k = int(np.argmax(ratios))
+        if ratios[k] > best_val:
+            best_val = float(ratios[k])
+            best = (level, tuple(cells[level][k].tolist()))
     assert best is not None
     return best, best_val
 
@@ -205,8 +199,8 @@ def dense_cube(grid: DyadicGrid, s: float) -> DenseCubeResult:
         raise EmptyGrid("dense cube search needs an occupied cell")
     if s <= 0.0:
         raise AngleLabError("content exponent must be positive")
-    values, _ = _tree_values(grid, s)
-    best, best_val = _densest_cube(values, s, grid.levels)
+    cells, values, _, _ = _tree_values(grid, s)
+    best, best_val = _densest_cube(cells, values, s, grid.levels)
     return DenseCubeResult(best, best_val, best_val >= 2.0 ** (-2.0 - s))
 
 
@@ -244,18 +238,13 @@ def microset_zoom(grid: DyadicGrid, s: float, delta: float) -> ZoomResult:
     if max_level < 0:
         raise InvalidDelta("delta admits no cube at this grid resolution")
     s_zoom = s - 2.0 * delta
-    values, _ = _tree_values(grid, s_zoom)
-    best, best_val = _densest_cube(values, s_zoom, min(max_level, m))
+    cells, values, _, _ = _tree_values(grid, s_zoom)
+    best, best_val = _densest_cube(cells, values, s_zoom, max_level)
     level, anchor = best
     shift = m - level
-    inside = [
-        cell
-        for cell in grid.occupied
-        if all(c >> shift == a for c, a in zip(cell, anchor))
-    ]
-    rel = frozenset(
-        tuple(c - (a << shift) for c, a in zip(cell, anchor)) for cell in inside
-    )
+    leaves = cells[m]
+    inside = leaves[(leaves >> shift == anchor).all(axis=1)] - (np.array(anchor) << shift)
+    rel = frozenset(map(tuple, inside.tolist()))
     rescaled = DyadicGrid(d, shift, rel)
     passes = best_val >= 2.0 ** (-s - 2.0)
     return ZoomResult(best, best_val, passes, rescaled)

@@ -335,7 +335,10 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
     a budget, or with one no smaller than the triple count, every triple
     is measured, one block per apex.  Otherwise a single block holds the
     seeded sample of `budget` triples, measured with the same formula.
+    A budget below 1 is rejected before any triple is measured.
     """
+    if budget is not None and budget < 1:
+        raise AngleLabError(f"triple sample budget must be at least 1, not {budget}")
     n = pts.shape[0]
     threshold = _cloud_threshold(pts)
     if budget is not None and budget < _total_triples(n):

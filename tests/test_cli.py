@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import content_oracle
 import spectrum_oracle
 from anglelab import PointCloud
 from anglelab.cli import _HANDLERS, build_parser, main
+from anglelab.content import DyadicGrid
 from anglelab.geom import AngleInterval
 from anglelab.ifs import deviation_of_corners
 
@@ -130,6 +132,16 @@ def test_spectrum_json_matches_reference_scan(capsys, tmp_path):
         assert sum(count for _, _, count in data["histogram"]) == 500
 
 
+def test_spectrum_rejects_budget_below_one(capsys, tmp_path):
+    cloud = write_cloud(tmp_path, EQ_CLOUD)
+    for budget in ("0", "-1"):
+        argv = ["spectrum", "--cloud", cloud, "--alpha", "60", "--window", "5", "--budget", budget]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget must be at least 1" in captured.err
+
+
 def test_minkdim_matches_library(capsys, tmp_path):
     from anglelab import minkowski_dimension_estimate
 
@@ -211,6 +223,30 @@ def test_rasterize_content_zoom_pipeline(capsys, tmp_path):
     assert code == 0
     assert data["passes_claim"] is True
     assert data["normalized_content"] >= data["params"]["threshold"]
+
+
+def test_content_and_zoom_json_match_the_reference_tree(capsys, tmp_path):
+    # a 2-d gasket grid whose whole tree is expanded at s=1.9, and a seeded
+    # 4-d grid with up to 16 children per parent
+    cloud_path = str(tmp_path / "g.json")
+    gasket = str(tmp_path / "gasket-grid.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.25", "--depth", "6", "--out", cloud_path]) == 0
+    assert main(["rasterize", "--cloud", cloud_path, "--m", "8", "--out", gasket]) == 0
+    cells = np.random.default_rng(4).integers(0, 8, size=(600, 4))
+    random4 = write_cloud(
+        tmp_path, {"dimension": 4, "levels": 3, "occupied": cells.tolist()}, "random-grid.json"
+    )
+    for path, s, delta in ((gasket, 1.9, 0.2), (random4, 2.5, 0.3), (random4, 3.7, 0.1)):
+        grid = DyadicGrid.from_json_dict(json.loads(open(path).read()))
+        assert main(["content", "--grid", path, "--s", str(s)]) == 0
+        want = content_oracle.content_payload(grid, s)
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        if path == gasket:
+            assert all(level == 8 for level, _ in want["cover"])
+        code = main(["zoom", "--grid", path, "--s", str(s), "--delta", str(delta)])
+        want = content_oracle.zoom_payload(grid, s, delta)
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert code == (0 if want["passes_claim"] else 1)
 
 
 def test_rasterize_normalize_flag(capsys, tmp_path):

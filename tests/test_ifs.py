@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anglelab.errors import (
     BudgetExceeded,
@@ -165,6 +167,14 @@ def test_separation_gap_gasket():
     assert abs(separation_gap(gasket_ifs(2, 0.25)) - 0.5) < 1e-9
     assert abs(separation_gap(gasket_ifs(2, 0.49)) - 0.02) < 1e-9
     assert abs(separation_gap(gasket_ifs(3, 0.25)) - 0.5) < 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+def test_separation_gap_gasket_closed_form(n, delta):
+    # unit-edge simplex: the images of two vertices' pieces are delta-scaled
+    # copies of the simplex, 1 - 2*delta apart
+    assert abs(separation_gap(gasket_ifs(n, delta)) - (1.0 - 2.0 * delta)) <= 1e-12
 
 
 def test_separation_gap_identical_centers_zero():

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
-from anglelab.errors import BudgetExceeded
+from anglelab.errors import AngleLabError, BudgetExceeded
 from anglelab.geom import (
     AngleInterval,
     PointCloud,
@@ -117,3 +117,12 @@ def test_sampler_refuses_clouds_beyond_its_key_range():
     assert _sampled_triples(2**21 - 1, 1, 0).shape == (1, 3)
     with pytest.raises(BudgetExceeded):
         _sampled_triples(2**21, 1, 0)
+
+
+def test_budget_below_one_is_refused_before_any_scan():
+    cloud = PointCloud(np.random.default_rng(0).normal(size=(6, 2)))
+    for budget in (0, -3):
+        with pytest.raises(AngleLabError, match="at least 1"):
+            angle_spectrum(cloud, budget=budget)
+        with pytest.raises(AngleLabError, match="at least 1"):
+            spectrum_hits(cloud, AngleInterval(60.0, 5.0), budget=budget)
