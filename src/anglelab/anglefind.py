@@ -20,7 +20,16 @@ from .errors import (
     NoFarPoint,
     TooFewPoints,
 )
-from .geom import Point, PointCloud, TripleWitness, _apex_pair_angles, _cloud_threshold, angle_at
+from .geom import (
+    Point,
+    PointCloud,
+    TripleWitness,
+    _apex_pair_angles,
+    _cloud_threshold,
+    _triple_angle_blocks,
+    _unit_angle,
+    angle_at,
+)
 
 # Finest scale tried when hunting the distance shell [a, 4a].
 TRIANGLE_SCAN_MAX_K = 40
@@ -235,39 +244,20 @@ def near_extreme_witness(cloud: PointCloud, target: str) -> TripleWitness:
     """Exhaustive search for the smallest (zero) or largest (straight) angle."""
     if target not in ("zero", "straight"):
         raise AngleLabError("target must be 'zero' or 'straight'")
-    if len(cloud) < 3:
-        raise TooFewPoints("need at least 3 points")
     pts = cloud.points
-    threshold = _cloud_threshold(pts)
     sign = 1.0 if target == "zero" else -1.0
     best_val = math.inf
     best: tuple[int, int, int] | None = None
-    for a in range(pts.shape[0]):
-        res = _apex_pair_angles(pts, a, threshold)
-        if res is None:
-            continue
-        arms, iu, ju, ang = res
+    for *triple, ang in _triple_angle_blocks(pts, None, 0):
         vals = sign * ang
         pos = int(np.argmin(vals))
         if vals[pos] < best_val:
             best_val = vals[pos]
-            best = (a, int(arms[iu[pos]]), int(arms[ju[pos]]))
+            best = tuple(int(index[pos]) for index in triple)
     if best is None:
         raise TooFewPoints("no apex has two distinct arms")
-    a, i, j = best
-    apex, p, q = cloud.point(a), cloud.point(i), cloud.point(j)
-    return TripleWitness(apex, p, q, angle_at(apex, p, q, threshold=threshold))
-
-
-def _vector_angle_degrees(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two nonzero vectors (not lines): range [0, 180]."""
-    un = u / math.sqrt(float(u @ u))
-    vn = v / math.sqrt(float(v @ v))
-    half = math.atan2(
-        math.sqrt(float((un - vn) @ (un - vn))),
-        math.sqrt(float((un + vn) @ (un + vn))),
-    )
-    return math.degrees(2.0 * half)
+    apex, p, q = (cloud.point(index) for index in best)
+    return TripleWitness(apex, p, q, angle_at(apex, p, q, threshold=_cloud_threshold(pts)))
 
 
 def _window_triples(
@@ -294,15 +284,15 @@ def _window_triples(
         vec = pts[others] - pts[q]
         norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
         ok = norms > threshold
-        others, vec, norms = others[ok], vec[ok], norms[ok]
-        if others.shape[0] < 2:
-            continue
+        others, norms = others[ok], norms[ok]
         order = np.lexsort((others, -norms))[:CHAIN_ARM_CAP]
-        others, vec, norms = others[order], vec[order], norms[order]
-        unit = vec / norms[:, None]
-        ang = np.degrees(np.arccos(np.clip(unit @ unit.T, -1.0, 1.0)))
-        iu, ju = np.triu_indices(others.shape[0], k=1)
-        window = (ang[iu, ju] > lo) & (ang[iu, ju] < hi)
+        others, norms = others[order], norms[order]
+        # apex at row 0, then the capped arms in distance order
+        block = _apex_pair_angles(pts[np.concatenate([[q], others])], 0, threshold)
+        if block is None:
+            continue
+        _, iu, ju, ang = block
+        window = (ang > lo) & (ang < hi)
         if not window.any():
             continue
         shorter = np.minimum(norms[iu], norms[ju])
@@ -362,6 +352,7 @@ def _chain_from(
     if len(triples) < 2:
         return None
     dirs = [pts[p] - pts[q] for p, q, _ in triples]
+    dirs = [v / math.sqrt(float(v @ v)) for v in dirs]
     best_gap = math.inf
     best_pair: tuple[int, int] | None = None
     for a in range(len(triples) - 1):
@@ -369,7 +360,7 @@ def _chain_from(
             q_a, q_b, r_b = triples[a][1], triples[b][1], triples[b][2]
             if q_a == q_b or r_b == q_b:
                 continue
-            gap = _vector_angle_degrees(dirs[a], dirs[b])
+            gap = _unit_angle(dirs[a], dirs[b])
             if gap < best_gap:
                 best_gap = gap
                 best_pair = (a, b)

@@ -31,10 +31,12 @@ from .errors import AngleLabError, BudgetExceeded
 from .geom import (
     AngleInterval,
     PointCloud,
+    _block_hit,
     _total_triples,
     _triple_angle_blocks,
-    angle_spectrum,  # noqa: F401  # benchmarks/test_counters.py calls cli.angle_spectrum
-    spectrum_hits,
+    # benchmarks/test_counters.py calls both through cli
+    angle_spectrum,  # noqa: F401
+    spectrum_hits,  # noqa: F401
 )
 from .ifs import (
     DEFAULT_POINT_BUDGET,
@@ -113,14 +115,9 @@ def _svg_scatter(
     return "\n".join(parts) + "\n"
 
 
-def _require_planar(cloud: PointCloud) -> None:
-    if cloud.dimension != 2:
-        raise AngleLabError("svg output is only available for 2-dimensional clouds")
-
-
 def _triple_segments(points: list) -> list:
-    apex, arm1, arm2 = points
-    return [(tuple(apex), tuple(arm1)), (tuple(apex), tuple(arm2))]
+    """Segments from the apex, points[0], to each arm; none without points."""
+    return [(tuple(points[0]), tuple(arm)) for arm in points[1:]]
 
 
 def _ring_segments(points: list) -> list:
@@ -128,7 +125,12 @@ def _ring_segments(points: list) -> list:
     return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
 
-def _emit(args, code: int, payload: dict, svg: str | None = None, csv: str | None = None) -> int:
+def _emit(args, code: int, payload: dict, plot=None, csv: str | None = None) -> int:
+    """Write the payload in the requested format and return the exit code.
+
+    `plot` is called only for svg output; it returns the cloud, the
+    witness points to highlight and the segments to draw.
+    """
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
@@ -136,9 +138,12 @@ def _emit(args, code: int, payload: dict, svg: str | None = None, csv: str | Non
             raise AngleLabError(f"csv output is not defined for '{args.command}'")
         text = csv
     else:
-        if svg is None:
+        if plot is None:
             raise AngleLabError(f"svg output is not defined for '{args.command}'")
-        text = svg
+        cloud, marks, segments = plot()
+        if cloud.dimension != 2:
+            raise AngleLabError("svg output is only available for 2-dimensional clouds")
+        text = _svg_scatter(cloud.points, marks, segments)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -149,11 +154,7 @@ def _emit(args, code: int, payload: dict, svg: str | None = None, csv: str | Non
 def _cmd_gasket(args) -> int:
     ifs = gasket_ifs(args.n, args.delta)
     cloud = iterate_cloud(ifs, args.depth, ifs.centers(), budget=args.budget)
-    svg = None
-    if args.format == "svg":
-        _require_planar(cloud)
-        svg = _svg_scatter(cloud.points, [], [])
-    return _emit(args, 0, cloud.to_json_dict(), svg=svg, csv=cloud.to_csv())
+    return _emit(args, 0, cloud.to_json_dict(), lambda: (cloud, [], []), csv=cloud.to_csv())
 
 
 def _cmd_certify(args) -> int:
@@ -164,12 +165,14 @@ def _cmd_certify(args) -> int:
 def _cmd_spectrum(args) -> int:
     cloud = _load_cloud(args.cloud)
     window = AngleInterval(args.alpha, args.window)
-    witness = spectrum_hits(cloud, window, budget=args.budget, seed=args.seed)
     edges = np.linspace(0.0, 180.0, 37)
-    counts = sum(
-        np.histogram(ang, bins=edges)[0]
-        for *_, ang in _triple_angle_blocks(cloud.points, args.budget, args.seed)
-    )
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    witness = None
+    # one pass: the histogram takes every block, the witness the first hit
+    for block in _triple_angle_blocks(cloud.points, args.budget, args.seed):
+        counts += np.histogram(block[-1], bins=edges)[0]
+        if witness is None:
+            witness = _block_hit(cloud, block, window)
     total = _total_triples(len(cloud))
     payload = {
         "window": [window.lo, window.hi],
@@ -186,15 +189,9 @@ def _cmd_spectrum(args) -> int:
             for i in range(len(counts))
         ],
     }
-    svg = None
-    if args.format == "svg":
-        _require_planar(cloud)
-        if witness is None:
-            svg = _svg_scatter(cloud.points, [], [])
-        else:
-            pts = [witness.apex, witness.arm1, witness.arm2]
-            svg = _svg_scatter(cloud.points, pts, _triple_segments(pts))
-    return _emit(args, 0 if witness is not None else 1, payload, svg=svg)
+    marks = [] if witness is None else [witness.apex, witness.arm1, witness.arm2]
+    code = 0 if witness is not None else 1
+    return _emit(args, code, payload, lambda: (cloud, marks, _triple_segments(marks)))
 
 
 def _cmd_minkdim(args) -> int:
@@ -207,47 +204,33 @@ def _cmd_triangle(args) -> int:
     cloud = _load_cloud(args.cloud)
     witness = almost_regular_triangle(cloud, args.delta)
     if witness is None:
+        code, marks = 1, []
         payload = {
             "kind": "triangle",
             "points": None,
             "metric": None,
             "params": {"delta": args.delta},
         }
-        svg = None
-        if args.format == "svg":
-            _require_planar(cloud)
-            svg = _svg_scatter(cloud.points, [], [])
-        return _emit(args, 1, payload, svg=svg)
-    payload = witness.to_json_dict({"delta": args.delta})
-    svg = None
-    if args.format == "svg":
-        _require_planar(cloud)
-        pts = list(witness.vertices)
-        svg = _svg_scatter(cloud.points, pts, _ring_segments(pts))
-    return _emit(args, 0, payload, svg=svg)
+    else:
+        code, marks = 0, list(witness.vertices)
+        payload = witness.to_json_dict({"delta": args.delta})
+    return _emit(args, code, payload, lambda: (cloud, marks, _ring_segments(marks)))
 
 
 def _cmd_rightangle(args) -> int:
     cloud = _load_cloud(args.cloud)
     witness = near_right_witness(cloud, args.k, args.l)
-    svg = None
-    if args.format == "svg":
-        _require_planar(cloud)
-        pts = [witness.triple.apex, witness.triple.arm1, witness.triple.arm2]
-        svg = _svg_scatter(cloud.points, pts, _triple_segments(pts))
-    return _emit(args, 0, witness.to_json_dict(), svg=svg)
+    payload = witness.to_json_dict()
+    marks = [witness.triple.apex, witness.triple.arm1, witness.triple.arm2]
+    return _emit(args, 0, payload, lambda: (cloud, marks, _triple_segments(marks)))
 
 
 def _cmd_extreme(args) -> int:
     cloud = _load_cloud(args.cloud)
     witness = near_extreme_witness(cloud, args.target)
     payload = witness.to_json_dict("extreme", {"target": args.target})
-    svg = None
-    if args.format == "svg":
-        _require_planar(cloud)
-        pts = [witness.apex, witness.arm1, witness.arm2]
-        svg = _svg_scatter(cloud.points, pts, _triple_segments(pts))
-    return _emit(args, 0, payload, svg=svg)
+    marks = [witness.apex, witness.arm1, witness.arm2]
+    return _emit(args, 0, payload, lambda: (cloud, marks, _triple_segments(marks)))
 
 
 def _cmd_rectangle(args) -> int:
@@ -260,13 +243,13 @@ def _cmd_rectangle(args) -> int:
         "g": args.g,
         "depth": args.depth,
     }
-    svg = None
-    if args.format == "svg":
+    marks = list(witness.corners)
+
+    def plot():
         cloud = iterate_cloud(ifs, args.depth, ifs.centers(), budget=args.budget)
-        _require_planar(cloud)
-        pts = list(witness.corners)
-        svg = _svg_scatter(cloud.points, pts, _ring_segments(pts))
-    return _emit(args, 0, witness.to_json_dict(params), svg=svg)
+        return cloud, marks, _ring_segments(marks)
+
+    return _emit(args, 0, witness.to_json_dict(params), plot)
 
 
 def _cmd_content(args) -> int:

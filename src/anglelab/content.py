@@ -66,8 +66,14 @@ class DyadicGrid:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DyadicGrid":
-        cells = frozenset(tuple(int(c) for c in cell) for cell in data["occupied"])
-        return cls(int(data["dimension"]), int(data["levels"]), cells)
+        if not isinstance(data, dict) or not {"dimension", "levels", "occupied"} <= data.keys():
+            raise AngleLabError("grid JSON needs 'dimension', 'levels' and 'occupied'")
+        cells = data["occupied"]
+        if not isinstance(cells, list) or not all(
+            isinstance(cell, list) and all(type(c) is int for c in cell) for cell in cells
+        ):
+            raise AngleLabError("grid JSON 'occupied' must be a list of integer coordinate lists")
+        return cls(int(data["dimension"]), int(data["levels"]), frozenset(map(tuple, cells)))
 
 
 def from_points(

@@ -82,6 +82,11 @@ def line_pair_angle(a, b, c, d) -> float:
     w = v / nv
     if float(u @ w) < 0.0:
         w = -w
+    return _unit_angle(u, w)
+
+
+def _unit_angle(u: np.ndarray, w: np.ndarray) -> float:
+    """Angle in degrees between unit vectors u and w, as 2*atan2(|u-w|, |u+w|)."""
     half = math.atan2(
         math.sqrt(float((u - w) @ (u - w))), math.sqrt(float((u + w) @ (u + w)))
     )
@@ -172,6 +177,8 @@ class PointCloud:
             raise DimensionMismatch("cloud JSON needs 'dimension' and 'points'")
         d = int(data["dimension"])
         pts = data["points"]
+        if not isinstance(pts, list) or not all(isinstance(row, list) for row in pts):
+            raise DimensionMismatch("cloud JSON 'points' must be a list of coordinate lists")
         for row in pts:
             if len(row) != d:
                 raise DimensionMismatch("point length disagrees with declared dimension")
@@ -290,11 +297,6 @@ def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
     return arms, iu, ju, ang
 
 
-def _require_cloud(cloud: PointCloud, least: int):
-    if len(cloud) < least:
-        raise TooFewPoints(f"need at least {least} points, have {len(cloud)}")
-
-
 def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
     """Deterministic sample of distinct (apex, i, j) triples with i < j.
 
@@ -335,11 +337,14 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
     a budget, or with one no smaller than the triple count, every triple
     is measured, one block per apex.  Otherwise a single block holds the
     seeded sample of `budget` triples, measured with the same formula.
-    A budget below 1 is rejected before any triple is measured.
+    Fewer than 3 points, or a budget below 1, are rejected before any
+    triple is measured.
     """
+    n = pts.shape[0]
+    if n < 3:
+        raise TooFewPoints(f"need at least 3 points, have {n}")
     if budget is not None and budget < 1:
         raise AngleLabError(f"triple sample budget must be at least 1, not {budget}")
-    n = pts.shape[0]
     threshold = _cloud_threshold(pts)
     if budget is not None and budget < _total_triples(n):
         a, i, j = _sampled_triples(n, budget, seed).T
@@ -361,6 +366,17 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
         yield np.full(ang.shape[0], a), arms[iu], arms[ju], ang
 
 
+def _block_hit(cloud: PointCloud, block, window: AngleInterval) -> Optional[TripleWitness]:
+    """Witness (angle remeasured by `angle_at`) from the block's first in-window triple."""
+    *triple, ang = block
+    hit = (ang > window.lo) & (ang < window.hi)
+    if not hit.any():
+        return None
+    t = int(np.argmax(hit))
+    apex, p, q = (cloud.point(int(index[t])) for index in triple)
+    return TripleWitness(apex, p, q, angle_at(apex, p, q))
+
+
 def angle_spectrum(
     cloud: PointCloud,
     budget: int | None = None,
@@ -374,7 +390,6 @@ def angle_spectrum(
     of that many triples is used instead.  Intended for clouds small
     enough that the full list fits in memory.
     """
-    _require_cloud(cloud, 3)
     blocks = _triple_angle_blocks(cloud.points, budget, seed)
     a, i, j, ang = (np.concatenate(column) for column in zip(*blocks))
     points = [cloud.point(k) for k in range(len(cloud))]
@@ -396,11 +411,8 @@ def spectrum_hits(
     Triples are scanned in lexicographic (apex, arm, arm) index order,
     so `None` with no budget is an exhaustive absence statement.
     """
-    _require_cloud(cloud, 3)
-    for *triple, ang in _triple_angle_blocks(cloud.points, budget, seed):
-        hit = (ang > window.lo) & (ang < window.hi)
-        if hit.any():
-            t = int(np.argmax(hit))
-            apex, p, q = (cloud.point(int(index[t])) for index in triple)
-            return TripleWitness(apex, p, q, angle_at(apex, p, q))
+    for block in _triple_angle_blocks(cloud.points, budget, seed):
+        witness = _block_hit(cloud, block, window)
+        if witness is not None:
+            return witness
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyCloud
+from .errors import BudgetExceeded, EmptyCloud
 
 
 def min_norm_point(vertices, tol: float = 1e-12) -> np.ndarray:
@@ -19,7 +19,9 @@ def min_norm_point(vertices, tol: float = 1e-12) -> np.ndarray:
     Wolfe's active-set method: grow a corral of vertices, solve for the
     affine minimizer over the corral, and step back toward the previous
     convex combination whenever a coefficient leaves the simplex.  The
-    tolerance is relative to the squared scale of the input.
+    tolerance is relative to the squared scale of the input.  Raises
+    BudgetExceeded if the iteration cap of 16*n + 64 steps is reached
+    before the optimality test passes.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -34,11 +36,12 @@ def min_norm_point(vertices, tol: float = 1e-12) -> np.ndarray:
     weights = np.array([1.0])
     x = pts[active[0]].copy()
 
-    for _ in range(16 * pts.shape[0] + 64):
+    cap = 16 * pts.shape[0] + 64
+    for _ in range(cap):
         gaps = pts @ x
         j = int(np.argmin(gaps))
         if gaps[j] >= float(x @ x) - eps:
-            break
+            return x
         if j not in active:
             active.append(j)
             weights = np.append(weights, 0.0)
@@ -75,7 +78,7 @@ def min_norm_point(vertices, tol: float = 1e-12) -> np.ndarray:
             weights = weights[keep]
             weights = weights / weights.sum()
             x = weights @ pts[active]
-    return x
+    raise BudgetExceeded(f"Wolfe's method did not converge within {cap} iterations")
 
 
 def hull_distance(a, b) -> float:

@@ -3,7 +3,11 @@
 `sampled_triples`, `angle_spectrum` and `spectrum_hits` keep the bodies the
 library had before it measured every triple through one stream of array
 blocks; `spectrum_payload` is the `spectrum` subcommand's JSON built from
-them.  Tests compare the library against these.
+them.  `near_extreme_witness` keeps its own apex loop, and
+`supplementary_chain_report` its own copy of the per-apex angle block
+(`window_triples`) and of the direction angle (`vector_angle_degrees`), as
+they were before both read the library's one kernel.  Tests compare the
+library against these.
 """
 
 from __future__ import annotations
@@ -12,14 +16,20 @@ import math
 
 import numpy as np
 
+from anglelab.anglefind import CHAIN_ARM_CAP, CHAIN_START_CAP, ChainReport
+from anglelab.errors import AngleLabError, InvalidWindow, TooFewPoints
 from anglelab.geom import (
     TripleWitness,
     _apex_pair_angles,
     _cloud_threshold,
-    _require_cloud,
     _total_triples,
     angle_at,
 )
+
+
+def _require_cloud(cloud, least):
+    if len(cloud) < least:
+        raise TooFewPoints(f"need at least {least} points, have {len(cloud)}")
 
 
 def sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
@@ -138,3 +148,135 @@ def spectrum_payload(cloud, window, alpha, radius, budget=None, seed=0):
             for i in range(len(counts))
         ],
     }
+
+
+def near_extreme_witness(cloud, target):
+    if target not in ("zero", "straight"):
+        raise AngleLabError("target must be 'zero' or 'straight'")
+    if len(cloud) < 3:
+        raise TooFewPoints("need at least 3 points")
+    pts = cloud.points
+    threshold = _cloud_threshold(pts)
+    sign = 1.0 if target == "zero" else -1.0
+    best_val = math.inf
+    best = None
+    for a in range(pts.shape[0]):
+        res = _apex_pair_angles(pts, a, threshold)
+        if res is None:
+            continue
+        arms, iu, ju, ang = res
+        vals = sign * ang
+        pos = int(np.argmin(vals))
+        if vals[pos] < best_val:
+            best_val = vals[pos]
+            best = (a, int(arms[iu[pos]]), int(arms[ju[pos]]))
+    if best is None:
+        raise TooFewPoints("no apex has two distinct arms")
+    a, i, j = best
+    apex, p, q = cloud.point(a), cloud.point(i), cloud.point(j)
+    return TripleWitness(apex, p, q, angle_at(apex, p, q, threshold=threshold))
+
+
+def vector_angle_degrees(u, v):
+    un = u / math.sqrt(float(u @ u))
+    vn = v / math.sqrt(float(v @ v))
+    half = math.atan2(
+        math.sqrt(float((un - vn) @ (un - vn))),
+        math.sqrt(float((un + vn) @ (un + vn))),
+    )
+    return math.degrees(2.0 * half)
+
+
+def window_triples(pts, active, lo, hi, threshold, max_candidates):
+    found = []
+    for q_pos in range(len(active)):
+        q = int(active[q_pos])
+        others = np.concatenate([active[:q_pos], active[q_pos + 1 :]])
+        if others.shape[0] < 2:
+            break
+        vec = pts[others] - pts[q]
+        norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
+        ok = norms > threshold
+        others, vec, norms = others[ok], vec[ok], norms[ok]
+        if others.shape[0] < 2:
+            continue
+        order = np.lexsort((others, -norms))[:CHAIN_ARM_CAP]
+        others, vec, norms = others[order], vec[order], norms[order]
+        unit = vec / norms[:, None]
+        ang = np.degrees(np.arccos(np.clip(unit @ unit.T, -1.0, 1.0)))
+        iu, ju = np.triu_indices(others.shape[0], k=1)
+        window = (ang[iu, ju] > lo) & (ang[iu, ju] < hi)
+        if not window.any():
+            continue
+        shorter = np.minimum(norms[iu], norms[ju])
+        shorter[~window] = -1.0
+        pos = int(np.argmax(shorter))
+        p_arm, r_arm = int(others[iu[pos]]), int(others[ju[pos]])
+        found.append((p_arm, q, r_arm))
+        if len(found) >= max_candidates:
+            break
+    return found
+
+
+def _chain_from(pts, start, lo, hi, epsilon, max_steps, threshold):
+    triples = [start]
+    while len(triples) < max_steps:
+        p, q, r = triples[-1]
+        radius = epsilon * min(
+            float(np.linalg.norm(pts[q] - pts[p])),
+            float(np.linalg.norm(pts[q] - pts[r])),
+        )
+        ball = np.nonzero(np.linalg.norm(pts - pts[p], axis=1) <= radius)[0]
+        if ball.shape[0] < 3:
+            break
+        nxt = window_triples(pts, ball, lo, hi, threshold, 1)
+        if not nxt:
+            break
+        triples.append(nxt[0])
+    if len(triples) < 2:
+        return None
+    dirs = [pts[p] - pts[q] for p, q, _ in triples]
+    best_gap = math.inf
+    best_pair = None
+    for a in range(len(triples) - 1):
+        for b in range(a + 1, len(triples)):
+            q_a, q_b, r_b = triples[a][1], triples[b][1], triples[b][2]
+            if q_a == q_b or r_b == q_b:
+                continue
+            gap = vector_angle_degrees(dirs[a], dirs[b])
+            if gap < best_gap:
+                best_gap = gap
+                best_pair = (a, b)
+    if best_pair is None:
+        return None
+    a, b = best_pair
+    apex = tuple(float(x) for x in pts[triples[b][1]])
+    arm1 = tuple(float(x) for x in pts[triples[a][1]])
+    arm2 = tuple(float(x) for x in pts[triples[b][2]])
+    angle = angle_at(apex, arm1, arm2, threshold=threshold)
+    witness = TripleWitness(apex, arm1, arm2, angle)
+    return ChainReport(witness, len(triples), best_gap, (a, b))
+
+
+def supplementary_chain_report(cloud, alpha, delta, epsilon, max_steps):
+    if delta <= 0.0 or alpha + delta <= 0.0 or alpha - delta >= 180.0:
+        raise InvalidWindow("the angle window around alpha is empty")
+    if not (0.0 < epsilon < 1.0):
+        raise InvalidWindow("direction tolerance must lie in (0, 1)")
+    if len(cloud) < 3:
+        raise TooFewPoints("need at least 3 points")
+    pts = cloud.points
+    threshold = _cloud_threshold(pts)
+    lo, hi = alpha - delta, alpha + delta
+    starts = window_triples(pts, np.arange(pts.shape[0]), lo, hi, threshold, CHAIN_START_CAP)
+    best = None
+    for p, q, r in starts:
+        for labeled in ((p, q, r), (r, q, p)):
+            report = _chain_from(pts, labeled, lo, hi, epsilon, max_steps, threshold)
+            if report is None:
+                continue
+            if report.direction_gap < epsilon:
+                return report
+            if best is None or report.direction_gap < best.direction_gap:
+                best = report
+    return best

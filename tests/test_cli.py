@@ -9,7 +9,7 @@ import spectrum_oracle
 from anglelab import PointCloud
 from anglelab.cli import _HANDLERS, build_parser, main
 from anglelab.content import DyadicGrid
-from anglelab.geom import AngleInterval
+from anglelab.geom import AngleInterval, _apex_pair_angles
 from anglelab.ifs import deviation_of_corners
 
 EQ_CLOUD = {
@@ -140,6 +140,22 @@ def test_spectrum_rejects_budget_below_one(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "budget must be at least 1" in captured.err
+
+
+def test_spectrum_without_a_hit_measures_each_apex_once(capsys, tmp_path, monkeypatch):
+    gasket = str(tmp_path / "gasket.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "3", "--out", gasket]) == 0
+    blocks = []
+
+    def counting(pts, a, threshold):
+        blocks.append(a)
+        return _apex_pair_angles(pts, a, threshold)
+
+    monkeypatch.setattr("anglelab.geom._apex_pair_angles", counting)
+    # the gasket avoids 30 +- 5 degrees, so the scan never stops early
+    code, data = run_json(capsys, ["spectrum", "--cloud", gasket, "--alpha", "30", "--window", "5"])
+    assert code == 1 and data["witness"] is None
+    assert blocks == list(range(81))
 
 
 def test_minkdim_matches_library(capsys, tmp_path):
@@ -288,6 +304,32 @@ def test_svg_scatter_output(tmp_path):
     assert 'cx="24" cy="616"' in svg
 
 
+def test_svg_draws_each_witness(tmp_path):
+    """Cloud points, highlighted witness points and witness segments of
+    every command with svg output."""
+    cloud = write_cloud(tmp_path, EQ_CLOUD)
+    collinear = write_cloud(tmp_path, {"dimension": 2, "points": [[0, 0], [1, 0], [2, 0]]}, "c.json")
+    right = write_cloud(tmp_path, {"dimension": 2, "points": [[0, 0], [3, 0], [0, 3]]}, "r.json")
+    gasket = ["--n", "2", "--delta", "0.45", "--depth", "2"]
+    cases = [
+        (["gasket", *gasket], 0, 27, 0, 0),
+        (["spectrum", "--cloud", cloud, "--alpha", "60", "--window", "5"], 0, 3, 3, 2),
+        (["spectrum", "--cloud", cloud, "--alpha", "30", "--window", "5"], 1, 3, 0, 0),
+        (["triangle", "--cloud", cloud, "--delta", "0.5"], 0, 3, 3, 3),
+        (["triangle", "--cloud", collinear, "--delta", "0.5"], 1, 3, 0, 0),
+        (["rightangle", "--cloud", right, "--k", "2", "--l", "1"], 0, 3, 3, 2),
+        (["extreme", "--cloud", collinear, "--target", "straight"], 0, 3, 3, 2),
+        (["rectangle", *gasket, "--f", "0", "--g", "1"], 0, 27, 4, 4),
+    ]
+    for argv, code, points, marks, lines in cases:
+        out = tmp_path / "plot.svg"
+        assert main([*argv, "--format", "svg", "--out", str(out)]) == code
+        svg = out.read_text()
+        assert svg.count('r="2" fill="#4682b4"') == points
+        assert svg.count('r="4.5" fill="none"') == marks
+        assert svg.count("<line") == lines
+
+
 def test_svg_requires_planar_cloud(capsys, tmp_path):
     cloud = write_cloud(
         tmp_path,
@@ -306,3 +348,29 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["extreme", "--cloud", cloud, "--target", "sideways"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("spectrum", {"dimension": 2, "points": 5}),
+        ("spectrum", {"dimension": 2, "points": [[0, 0], 5, [1, 1]]}),
+        ("spectrum", [[0, 0], [1, 0], [0, 1]]),
+        ("content", {"dimension": 2, "levels": 2, "occupied": 5}),
+        ("content", [[0, 0], [1, 1]]),
+        ("content", {"dimension": 2, "levels": 2, "occupied": [[0.5, 1.9]]}),
+        ("content", {"dimension": 2, "levels": 2, "occupied": [[0, 1], 3]}),
+        ("content", {"dimension": 2, "levels": 2, "occupied": [[[0], 1]]}),
+        ("content", {"dimension": 2, "levels": 2}),
+    ],
+)
+def test_malformed_json_input_exits_2(capsys, tmp_path, command, data):
+    path = write_cloud(tmp_path, data)
+    if command == "spectrum":
+        argv = ["spectrum", "--cloud", path, "--alpha", "60", "--window", "5"]
+    else:
+        argv = ["content", "--grid", path, "--s", "1.0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input" in captured.err

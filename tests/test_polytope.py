@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anglelab.errors import EmptyCloud
+from anglelab.errors import BudgetExceeded, EmptyCloud
 from anglelab.polytope import hull_distance, min_norm_point
 
 
@@ -84,6 +84,13 @@ def test_min_norm_single_vertex():
 def test_min_norm_empty_rejected():
     with pytest.raises(EmptyCloud):
         min_norm_point(np.zeros((0, 2)))
+
+
+def test_min_norm_refuses_to_return_past_its_iteration_cap():
+    # a negative tolerance makes the optimality test unreachable
+    with pytest.raises(BudgetExceeded, match="96 iterations"):
+        min_norm_point([[1.0, 0.0], [0.0, 1.0]], tol=-1.0)
+    assert np.allclose(min_norm_point([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
 
 
 def test_hull_distance_intervals():
