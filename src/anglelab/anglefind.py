@@ -26,6 +26,7 @@ from .geom import (
     TripleWitness,
     _apex_pair_angles,
     _cloud_threshold,
+    _projection_pair,
     _triple_angle_blocks,
     _unit_angle,
     angle_at,
@@ -221,14 +222,17 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
     dists = np.linalg.norm(work - origin, axis=1)
     p_idx = int(np.argmax(dists))
     direction = (work[p_idx] - origin) / dists[p_idx]
-    proj = (work[core] - origin) @ direction
-    gaps = np.abs(proj[:, None] - proj[None, :])
-    spans = np.linalg.norm(work[core][:, None, :] - work[core][None, :, :], axis=2)
-    iu, ju = np.triu_indices(len(core), k=1)
+    spread = work[core]
+    proj = (spread - origin) @ direction
+
     # ties in the projection gap (common on symmetric clouds) go to the
     # closest pair: the apex angle error grows with the pair's span
-    flat = int(np.lexsort((ju, iu, spans[iu, ju], gaps[iu, ju]))[0])
-    q1_idx, q2_idx = core[int(iu[flat])], core[int(ju[flat])]
+    def keys(i, j):
+        chord = spread.take(i, axis=0) - spread.take(j, axis=0)
+        return np.abs(proj[i] - proj[j]), np.linalg.norm(chord, axis=1)
+
+    i, j = _projection_pair(proj, keys, lambda gap: gap)
+    q1_idx, q2_idx = core[i], core[j]
     if q1_idx == p_idx:
         q1_idx, q2_idx = q2_idx, q1_idx
     apex = cloud.point(q1_idx)

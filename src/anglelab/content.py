@@ -19,7 +19,7 @@ from .errors import (
     InvalidDepth,
     InvalidDimension,
 )
-from .geom import PointCloud
+from .geom import PointCloud, _json_int
 
 # Cap on 2^(levels * dimension), the number of cells a full grid would hold.
 DEFAULT_CELL_BUDGET = 2_000_000
@@ -73,7 +73,9 @@ class DyadicGrid:
             isinstance(cell, list) and all(type(c) is int for c in cell) for cell in cells
         ):
             raise AngleLabError("grid JSON 'occupied' must be a list of integer coordinate lists")
-        return cls(int(data["dimension"]), int(data["levels"]), frozenset(map(tuple, cells)))
+        return cls(
+            _json_int(data, "dimension"), _json_int(data, "levels"), frozenset(map(tuple, cells))
+        )
 
 
 def from_points(

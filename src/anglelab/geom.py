@@ -175,7 +175,7 @@ class PointCloud:
     def from_json_dict(cls, data: dict) -> "PointCloud":
         if not isinstance(data, dict) or "dimension" not in data or "points" not in data:
             raise DimensionMismatch("cloud JSON needs 'dimension' and 'points'")
-        d = int(data["dimension"])
+        d = _json_int(data, "dimension")
         pts = data["points"]
         if not isinstance(pts, list) or not all(isinstance(row, list) for row in pts):
             raise DimensionMismatch("cloud JSON 'points' must be a list of coordinate lists")
@@ -206,6 +206,14 @@ class PointCloud:
 
     def __repr__(self) -> str:
         return f"PointCloud(n={len(self)}, d={self.dimension}, label={self.label!r})"
+
+
+def _json_int(data: dict, key: str) -> int:
+    """data[key] if it is a JSON integer; null, floats and booleans are rejected."""
+    value = data[key]
+    if type(value) is not int:
+        raise AngleLabError(f"JSON '{key}' must be an integer, not {value!r}")
+    return value
 
 
 def _dedup_bitwise(arr: np.ndarray) -> np.ndarray:
@@ -273,6 +281,37 @@ def _cloud_threshold(pts: np.ndarray) -> float:
     spans = pts.max(axis=0) - pts.min(axis=0)
     diag = math.sqrt(float(spans @ spans))
     return max(DEGENERACY_ABS, DEGENERACY_REL * diag)
+
+
+def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:
+    """Positions i < j of the pair with the least (*keys(i, j), i, j).
+
+    `keys(i, j)` maps equal-length index arrays with i < j to a tuple of
+    key arrays, and `lower(gap)`, nondecreasing, bounds the first key of
+    every pair whose projections differ by `gap` from below.  Pairs are
+    visited by their distance s = 1, 2, ... in the stable sorted order
+    of `proj`, one vectorised step per s; a start position leaves the
+    scan once its gap bounds the first key above the best so far, which
+    is exact because its gap only grows with s.  Needs two positions.
+    """
+    order = np.argsort(proj, kind="stable")
+    ranked = proj[order]
+    start = np.arange(len(proj) - 1)
+    best = None
+    s = 1
+    while start.size:
+        a, b = order[start], order[start + s]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        key = keys(i, j)
+        tie = np.flatnonzero(key[0] == key[0].min())
+        i, j, key = i[tie], j[tie], [k[tie] for k in key]
+        t = np.lexsort((j, i, *key[::-1]))[0]
+        pair = (*(float(k[t]) for k in key), int(i[t]), int(j[t]))
+        best = pair if best is None else min(best, pair)
+        s += 1
+        start = start[: np.searchsorted(start, len(proj) - s)]
+        start = start[lower(ranked[start + s] - ranked[start]) <= best[0]]
+    return best[-2], best[-1]
 
 
 def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):

@@ -35,6 +35,8 @@ from .geom import (
     AngleInterval,
     PointCloud,
     Point,
+    _json_int,
+    _projection_pair,
     line_pair_angle,
     regular_simplex,
 )
@@ -145,7 +147,7 @@ class HomotheticIFS:
             raise DimensionMismatch("IFS JSON needs a 'maps' list")
         maps = [Homothety(tuple(m["center"]), float(m["ratio"])) for m in data["maps"]]
         ifs = cls(maps)
-        if "dimension" in data and int(data["dimension"]) != ifs.dimension:
+        if "dimension" in data and _json_int(data, "dimension") != ifs.dimension:
             raise DimensionMismatch("declared dimension disagrees with the maps")
         return ifs
 
@@ -386,28 +388,18 @@ def rectangle_in(
 
     cloud = iterate_cloud(ifs, depth, ifs.centers(), budget=budget)
     pts = cloud.points
-    n = pts.shape[0]
     proj = pts @ axis
-    sq = np.einsum("ij,ij->i", pts, pts)
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    # padded past rounding, the box diagonal is at least every computed
+    # pair distance, so gap^2 / diam2 bounds every key from below
+    diam2 = float(extent @ extent) * (1.0 + 1e-9)
 
-    best = (math.inf, -1, -1)
-    chunk = 256
-    for start in range(0, n - 1, chunk):
-        stop = min(start + chunk, n - 1)
-        rows = np.arange(start, stop)
-        d2 = sq[rows][:, None] + sq[None, :] - 2.0 * (pts[rows] @ pts.T)
-        d2 = np.maximum(d2, 1e-300)
-        ratio2 = (proj[rows][:, None] - proj[None, :]) ** 2 / d2
-        mask = np.arange(n)[None, :] <= rows[:, None]
-        ratio2[mask] = math.inf
-        flat = int(np.argmin(ratio2))
-        val = float(ratio2.reshape(-1)[flat])
-        if val < best[0]:
-            i, j = divmod(flat, n)
-            best = (val, start + i, j)
+    def keys(i, j):
+        diff = pts.take(i, axis=0) - pts.take(j, axis=0)
+        return ((proj[i] - proj[j]) ** 2 / np.einsum("ij,ij->i", diff, diff),)
 
-    x = pts[best[1]]
-    y = pts[best[2]]
+    i, j = _projection_pair(proj, keys, lambda gap: gap * gap / diam2)
+    x, y = pts[i], pts[j]
     corners = (
         tuple(float(v) for v in fg.apply(x)),
         tuple(float(v) for v in fg.apply(y)),

@@ -362,6 +362,13 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         ("content", {"dimension": 2, "levels": 2, "occupied": [[0, 1], 3]}),
         ("content", {"dimension": 2, "levels": 2, "occupied": [[[0], 1]]}),
         ("content", {"dimension": 2, "levels": 2}),
+        ("spectrum", {"dimension": None, "points": [[0, 0], [1, 0], [0, 1]]}),
+        ("spectrum", {"dimension": 2.5, "points": [[0, 0], [1, 0], [0, 1]]}),
+        ("spectrum", {"dimension": True, "points": [[0], [1], [2]]}),
+        ("content", {"dimension": None, "levels": 2, "occupied": [[0, 1]]}),
+        ("content", {"dimension": 2.5, "levels": 2, "occupied": [[0, 1]]}),
+        ("content", {"dimension": 2, "levels": True, "occupied": [[0, 1]]}),
+        ("content", {"dimension": 2, "levels": 2.5, "occupied": [[0, 1]]}),
     ],
 )
 def test_malformed_json_input_exits_2(capsys, tmp_path, command, data):
