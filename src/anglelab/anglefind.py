@@ -27,6 +27,7 @@ from .geom import (
     _apex_pair_angles,
     _cloud_threshold,
     _projection_pair,
+    _row_blocks,
     _triple_angle_blocks,
     _unit_angle,
     angle_at,
@@ -73,14 +74,19 @@ def color_distances(pts: np.ndarray, a: float, n_colors: int) -> np.ndarray:
     Returns a symmetric integer matrix with -1 on the diagonal.
     """
     pts = np.asarray(pts, dtype=float)
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    n = pts.shape[0]
     width = 3.0 * a / n_colors
-    # a distance sitting on an interval boundary belongs to the upper
-    # interval; the nudge keeps it there when rounding lands a few ulps low
-    # (e.g. unit sides of an exact equilateral triple straddling a boundary)
-    colors = np.floor((dists - a) / width + 1e-9).astype(np.int64)
-    colors = np.clip(colors, 0, n_colors - 1)
+    colors = np.empty((n, n), dtype=np.int64)
+    # row blocks keep the pair tensor small; the matrix itself is n x n
+    for rows in _row_blocks(n, n):
+        diffs = pts[rows, None, :] - pts[None, :, :]
+        dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+        # a distance sitting on an interval boundary belongs to the upper
+        # interval; the nudge keeps it there when rounding lands a few ulps
+        # low (e.g. unit sides of an exact equilateral triple straddling a
+        # boundary)
+        colors[rows] = np.floor((dists - a) / width + 1e-9)
+    np.clip(colors, 0, n_colors - 1, out=colors)
     np.fill_diagonal(colors, -1)
     return colors
 
@@ -132,7 +138,7 @@ class TriangleWitness:
 
 
 def almost_regular_triangle(
-    cloud: PointCloud, delta: float
+    cloud: PointCloud, delta: float, limits_hit: list[str] | None = None
 ) -> Optional[TriangleWitness]:
     """Find three points whose side ratio is at most 1 + delta.
 
@@ -142,6 +148,12 @@ def almost_regular_triangle(
     ceil(3/delta) intervals of the shell and the first monochromatic
     triangle found is returned; same color forces the ratio bound.
     Returns None when the subset has no monochromatic triple.
+
+    The scan over k packs each scale once and stops after the first k
+    whose coarse packing keeps every point: every pairwise distance then
+    exceeds the bucket radius, so each later bucket is a single point.
+    When it reaches TRIANGLE_SCAN_MAX_K first, that name is appended to
+    `limits_hit`, if given.
     """
     if delta <= 0.0:
         raise InvalidWindow("regularity delta must be positive")
@@ -150,11 +162,17 @@ def almost_regular_triangle(
     pts = _normalize_unit(cloud.points)
     best: list[int] = []
     best_k = 0
+    packings: dict[int, list[int]] = {}
     for k in range(2, TRIANGLE_SCAN_MAX_K + 1):
-        core = _well_spread_core(pts, k, k - 1)
+        core = _well_spread_core(pts, k, k - 1, packings)
         if len(core) > len(best):
             best = core
             best_k = k
+        if len(packings.pop(k - 1)) == len(pts):
+            break
+    else:
+        if limits_hit is not None:
+            limits_hit.append("TRIANGLE_SCAN_MAX_K")
     if len(best) < 3:
         return None
     a = 2.0 ** (-best_k + 1)

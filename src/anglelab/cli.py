@@ -202,18 +202,17 @@ def _cmd_minkdim(args) -> int:
 
 def _cmd_triangle(args) -> int:
     cloud = _load_cloud(args.cloud)
-    witness = almost_regular_triangle(cloud, args.delta)
+    limits_hit: list[str] = []
+    witness = almost_regular_triangle(cloud, args.delta, limits_hit)
+    params = {"delta": args.delta}
+    if limits_hit:
+        params["limits_hit"] = limits_hit
     if witness is None:
         code, marks = 1, []
-        payload = {
-            "kind": "triangle",
-            "points": None,
-            "metric": None,
-            "params": {"delta": args.delta},
-        }
+        payload = {"kind": "triangle", "points": None, "metric": None, "params": params}
     else:
         code, marks = 0, list(witness.vertices)
-        payload = witness.to_json_dict({"delta": args.delta})
+        payload = witness.to_json_dict(params)
     return _emit(args, code, payload, lambda: (cloud, marks, _ring_segments(marks)))
 
 

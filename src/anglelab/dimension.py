@@ -9,14 +9,12 @@ itself works on raw coordinates.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRange, EmptyCloud, InvalidScales
-from .geom import Point, PointCloud
+from .geom import Point, PointCloud, _row_blocks
 
 
 def _normalize_unit(pts: np.ndarray) -> np.ndarray:
@@ -38,42 +36,55 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     """Indices kept by index-order greedy packing: pairwise distance > 2*epsilon.
 
     Kept centers carry pairwise disjoint closed balls of radius epsilon.
-    Neighbor candidates come from a uniform grid hash at cell size
-    2*epsilon; cells are enumerated directly in low dimensions and the
-    occupied-cell table is scanned instead when 3^d would be larger.
+    The first unresolved point is always kept, and one vectorised step
+    removes every later point within 2*epsilon of it.  Candidates lie in
+    the slab of +-1 cells of side 2*epsilon along the widest cell axis,
+    found by `searchsorted` in the points sorted on that axis, and must
+    be within one cell on every axis before their distance is tested.
+
+    A step takes a run of unresolved points at once and keeps the run up
+    to its first point within 2*epsilon of an earlier run point, so a run
+    without inner conflicts is kept whole.  A run kept whole doubles the
+    next one, a run cut short shrinks it to the kept part, and no run
+    enumerates more slab pairs than the cloud has points, unless it is a
+    single point.  Needs at least one point.
     """
-    n, d = pts.shape
-    cell = 2.0 * epsilon
-    cells = np.floor(pts / cell).astype(np.int64)
-    occupied: dict[tuple[int, ...], list[int]] = {}
-    kept: list[int] = []
-    enumerate_neighbors = 3**d <= 128
-    offsets = (
-        list(itertools.product((-1, 0, 1), repeat=d)) if enumerate_neighbors else None
-    )
-    for i in range(n):
-        key = tuple(cells[i])
-        if enumerate_neighbors:
-            candidates: list[int] = []
-            for off in offsets:
-                bucket = occupied.get(tuple(k + o for k, o in zip(key, off)))
-                if bucket:
-                    candidates.extend(bucket)
-        else:
-            candidates = []
-            arr = cells[i]
-            for okey, bucket in occupied.items():
-                if all(abs(a - b) <= 1 for a, b in zip(okey, arr)):
-                    candidates.extend(bucket)
-        ok = True
-        if candidates:
-            diffs = pts[candidates] - pts[i]
-            if float(np.einsum("ij,ij->i", diffs, diffs).min()) <= (2.0 * epsilon) ** 2:
-                ok = False
-        if ok:
-            kept.append(i)
-            occupied.setdefault(key, []).append(i)
-    return kept
+    n = pts.shape[0]
+    cells = np.floor(pts / (2.0 * epsilon)).astype(np.int64)
+    limit = (2.0 * epsilon) ** 2
+    key = cells[:, np.argmax(cells.max(axis=0) - cells.min(axis=0))]
+    order = np.argsort(key, kind="stable")
+    lo = np.searchsorted(key[order], key - 1, side="left")
+    width = np.searchsorted(key[order], key + 1, side="right") - lo
+    alive = np.ones(n, dtype=bool)
+    kept = []
+    first, span = 0, 1
+    while first < n:
+        first += int(np.argmax(alive[first:]))
+        if not alive[first]:
+            break
+        run = first + np.flatnonzero(alive[first : first + span])
+        ends = np.cumsum(width[run])
+        size = max(1, int(np.searchsorted(ends, n, side="right")))
+        run, ends, counts = run[:size], ends[:size], width[run[:size]]
+        src = np.repeat(run, counts)
+        cand = order[np.arange(ends[-1]) + np.repeat(lo[run] - ends + counts, counts)]
+        near = alive[cand] & (cand > src)
+        src, cand = src[near], cand[near]
+        near = (np.abs(cells[cand] - cells[src]) <= 1).all(axis=1)
+        src, cand = src[near], cand[near]
+        diffs = pts[src] - pts[cand]
+        near = np.einsum("ij,ij->i", diffs, diffs) <= limit
+        src, cand = src[near], cand[near]
+        inner = cand[cand <= run[-1]]
+        stop = int(inner.min()) if inner.size else int(run[-1]) + 1
+        keep = run[run < stop]
+        kept.append(keep)
+        alive[keep] = False
+        alive[cand[src < stop]] = False
+        span = (stop - first) * (1 if inner.size else 2)
+        first = stop
+    return np.concatenate(kept).tolist()
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,8 @@ def minkowski_dimension_estimate(
     """Empirical upper Minkowski dimension over scales 2^-k, k in [k_min, k_max].
 
     The cloud is normalized into the unit cube first.  Scales where the
-    packing count has stagnated at the cloud size carry no information
-    and are dropped; at least two scales must survive.
+    packing count has reached the cloud size carry no information and
+    end the scan; at least two scales must survive.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot estimate dimension of an empty cloud")
@@ -142,8 +153,11 @@ def minkowski_dimension_estimate(
     scales = []
     for k in range(k_min, k_max + 1):
         count = len(_greedy_pack_indices(pts, 2.0 ** (-k)))
-        if count < n:
-            scales.append((k, count))
+        if count == n:
+            # every pairwise distance exceeds 2^(1-k), so each finer scale
+            # keeps all n points too
+            break
+        scales.append((k, count))
     if len(scales) < 2:
         raise DegenerateRange("fewer than 2 scales below the cloud size")
     ks = np.array([k for k, _ in scales], dtype=float)
@@ -184,28 +198,34 @@ class WellSpreadResult:
         }
 
 
-def _well_spread_core(pts: np.ndarray, k: int, l: int) -> list[int]:
+def _well_spread_core(
+    pts: np.ndarray, k: int, l: int, packings: dict[int, list[int]] | None = None
+) -> list[int]:
     """Largest bucket of a 2^-k packing inside doubled 2^-l balls.
 
     `pts` must already live in the unit cube.  Returns row indices of the
     fine-packing points lying in the closed ball of radius 2^(-l+1)
     around the coarse center owning the most of them (ties: lowest
-    center index).
+    center index).  `packings` maps a scale j to the indices of the 2^-j
+    packing of `pts`; a missing scale is packed and stored there, so a
+    scan over adjacent scales packs each scale once.
     """
-    fine_idx = _greedy_pack_indices(pts, 2.0 ** (-k))
-    coarse_idx = _greedy_pack_indices(pts, 2.0 ** (-l))
-    fine = pts[fine_idx]
+    packings = {} if packings is None else packings
+    for j in (k, l):
+        if j not in packings:
+            packings[j] = _greedy_pack_indices(pts, 2.0 ** (-j))
+    fine_idx, coarse_idx = packings[k], packings[l]
+    fine, centers = pts[fine_idx], pts[coarse_idx]
     radius = 2.0 ** (-l + 1)
-    best_mask = None
-    best_count = -1
-    for ci in coarse_idx:
-        diffs = fine - pts[ci]
-        mask = np.einsum("ij,ij->i", diffs, diffs) <= radius * radius
-        count = int(mask.sum())
-        if count > best_count:
-            best_mask = mask
-            best_count = count
-    return [fine_idx[j] for j in np.nonzero(best_mask)[0]]
+    limit = radius * radius
+    counts = []
+    for rows in _row_blocks(len(centers), len(fine)):
+        diffs = (fine[None, :, :] - centers[rows, None, :]).reshape(-1, pts.shape[1])
+        inside = np.einsum("ij,ij->i", diffs, diffs) <= limit
+        counts.append(inside.reshape(-1, len(fine)).sum(axis=1))
+    diffs = fine - centers[int(np.argmax(np.concatenate(counts)))]
+    inside = np.einsum("ij,ij->i", diffs, diffs) <= limit
+    return [fine_idx[j] for j in np.nonzero(inside)[0]]
 
 
 def well_spread_subset(

@@ -32,6 +32,9 @@ DEGENERACY_ABS = 1e-300
 # Relative degeneracy threshold used when a cloud supplies a scale.
 DEGENERACY_REL = 1e-12
 
+# Pairwise distances are computed in blocks of at most this many pairs.
+PAIR_BLOCK = 1 << 16
+
 
 def _as_vector(p, dimension: int | None = None) -> np.ndarray:
     v = np.asarray(p, dtype=float)
@@ -281,6 +284,13 @@ def _cloud_threshold(pts: np.ndarray) -> float:
     spans = pts.max(axis=0) - pts.min(axis=0)
     diag = math.sqrt(float(spans @ spans))
     return max(DEGENERACY_ABS, DEGENERACY_REL * diag)
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices of range(rows) whose rows pair with `cols` columns in at most
+    PAIR_BLOCK pairs, or one row where a single row has more."""
+    step = max(1, PAIR_BLOCK // max(1, cols))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import content_oracle
+import pack_oracle
 import spectrum_oracle
 from anglelab import PointCloud
 from anglelab.cli import _HANDLERS, build_parser, main
@@ -185,6 +186,54 @@ def test_triangle_witness_and_absence(capsys, tmp_path):
     code, data = run_json(capsys, ["triangle", "--cloud", collinear, "--delta", "0.5"])
     assert code == 1
     assert data["points"] is None and data["metric"] is None
+
+
+def test_triangle_and_minkdim_json_match_the_full_scans(capsys, tmp_path):
+    readme = str(tmp_path / "readme.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "3", "--out", readme]) == 0
+    rng = np.random.default_rng(11)
+    clouds = [
+        readme,
+        write_cloud(tmp_path, {"dimension": 2, "points": rng.random((200, 2)).tolist()}, "r2.json"),
+        write_cloud(tmp_path, {"dimension": 5, "points": rng.random((150, 5)).tolist()}, "r5.json"),
+    ]
+    for path in clouds:
+        cloud = PointCloud.from_json_dict(json.loads(open(path).read()))
+        for delta in (0.3, 1.0):
+            code = main(["triangle", "--cloud", path, "--delta", str(delta)])
+            want = pack_oracle.triangle_payload(cloud, delta)
+            assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+            assert code == (1 if want["points"] is None else 0)
+        assert main(["minkdim", "--cloud", path, "--kmin", "1", "--kmax", "12"]) == 0
+        want = pack_oracle.minkowski_dimension_estimate(cloud, 1, 12).to_json_dict()
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+def test_triangle_reports_the_scan_cap_when_it_binds(capsys, tmp_path):
+    # points 1e-13 apart stay apart in every packing up to k = 40, so the
+    # scan never saturates; exact duplicates would be dropped on load
+    twin = [1e-13, 0.0]
+    cases = [
+        (EQ_CLOUD["points"] + [twin], 0),
+        ([[0.0, 0.0], twin, [1.0, 0.0], [2.0, 0.0]], 1),
+    ]
+    for points, want_code in cases:
+        cloud = write_cloud(tmp_path, {"dimension": 2, "points": points})
+        code, data = run_json(capsys, ["triangle", "--cloud", cloud, "--delta", "0.5"])
+        assert code == want_code
+        assert data["params"]["limits_hit"] == ["TRIANGLE_SCAN_MAX_K"]
+        assert data["params"]["delta"] == 0.5
+    code, data = run_json(capsys, ["triangle", "--cloud", write_cloud(tmp_path, EQ_CLOUD), "--delta", "0.5"])
+    assert code == 0 and "limits_hit" not in data["params"]
+
+
+def test_readme_rightangle_example_runs(capsys, tmp_path):
+    cloud = str(tmp_path / "cloud.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "3", "--out", cloud]) == 0
+    code, data = run_json(capsys, ["rightangle", "--cloud", cloud, "--k", "10", "--l", "8"])
+    assert code == 0
+    assert data["kind"] == "right"
+    assert (data["params"]["k"], data["params"]["l"]) == (10, 8)
 
 
 def test_rightangle_reports_right_triple(capsys, tmp_path):

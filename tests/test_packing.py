@@ -1,0 +1,163 @@
+"""The step packing kernel and the scans above it against the loops in pack_oracle."""
+
+import math
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import pack_oracle as oracle
+from anglelab.anglefind import almost_regular_triangle, color_distances
+from anglelab.dimension import (
+    _greedy_pack_indices,
+    _normalize_unit,
+    _well_spread_core,
+    minkowski_dimension_estimate,
+)
+from anglelab.errors import AngleLabError
+from anglelab.geom import PointCloud
+from anglelab.ifs import gasket_ifs, iterate_cloud
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def clouds(draw, max_points=60):
+    """Seeded clouds in d = 1..7: integer lattices with dyadic spacing (so
+    lattice neighbours sit at exactly 2*eps for some drawn eps), duplicate
+    and near-duplicate points, clouds on a hyperplane (some with one slab
+    holding every point), uniform points and address-ordered gaskets
+    (d >= 2).  Returns the points and a radius, which runs from 'every
+    point kept' to 'one point kept'."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = int(rng.integers(1, 8))
+    n = int(rng.integers(1, max_points + 1))
+    kind = draw(st.sampled_from(["lattice", "near", "flat", "random", "gasket"]))
+    if kind == "lattice":
+        step = 2.0 ** -draw(st.integers(0, 3))
+        pts = rng.integers(-2, 3, size=(n, d)) * step
+        # 2*eps is twice, once, half or a quarter of the lattice step
+        return pts, step * 2.0 ** -draw(st.integers(-1, 2))
+    if kind == "near":
+        base = rng.random((n // 2 + 1, d))
+        offsets = rng.choice([0.0, 1e-9, 1e-12, 1e-15], size=base.shape)
+        pts = np.concatenate([base, base + offsets])[rng.permutation(2 * len(base))]
+    elif kind == "flat":
+        pts = rng.random((n, d))
+        pts[:, rng.integers(d)] = 0.5
+        if draw(st.booleans()):
+            # cells of at least half the unit extent: the slab holds every point
+            return pts, draw(st.sampled_from([0.25, 0.3, 0.5]))
+    elif kind == "random":
+        pts = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    else:
+        ifs = gasket_ifs(max(d, 2), 0.3)
+        pts = iterate_cloud(ifs, 2 if d <= 3 else 1, ifs.centers()).points
+    dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    positive = dists[dists > 0]
+    if positive.size == 0:
+        return pts, 1.0
+    low, high = math.log(positive.min() / 4), math.log(dists.max())
+    return pts, math.exp(low + draw(st.integers(0, 8)) / 8 * (high - low))
+
+
+@SETTINGS
+@given(clouds())
+def test_kept_lists_are_the_loop(case):
+    pts, eps = case
+    assert _greedy_pack_indices(pts, eps) == oracle.greedy_pack_indices(pts, eps)
+
+
+@pytest.mark.parametrize("d, n, ks", [(2, 3000, range(3, 12)), (5, 600, range(1, 6)), (7, 300, (1, 2, 3))])
+def test_kept_lists_are_the_loop_on_larger_uniform_clouds(d, n, ks):
+    # long runs: the run length doubles and the slab-pair cap binds
+    pts = np.random.default_rng(d).random((n, d))
+    for k in ks:
+        assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
+
+
+def test_kept_lists_are_the_loop_on_an_address_ordered_gasket():
+    # consecutive points share a cell, so most runs stop after one point
+    ifs = gasket_ifs(2, 0.25)
+    pts = _normalize_unit(iterate_cloud(ifs, 6, ifs.centers()).points)
+    for k in range(1, 10):
+        assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
+
+
+@SETTINGS
+@given(clouds(max_points=40), st.integers(1, 12), st.integers(1, 4))
+def test_well_spread_core_is_the_loop(case, l, gap):
+    pts = _normalize_unit(case[0])
+    k = l + gap
+    want = oracle.well_spread_core(pts, k, l)
+    assert _well_spread_core(pts, k, l) == want
+    packings = {k: oracle.greedy_pack_indices(pts, 2.0**-k)}
+    assert _well_spread_core(pts, k, l, packings) == want
+    assert packings[l] == oracle.greedy_pack_indices(pts, 2.0**-l)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(clouds(max_points=30), st.sampled_from([0.3, 1.0]))
+def test_triangle_witness_is_the_full_scan(case, delta):
+    pts = case[0]
+    if len(pts) < 3:
+        return
+    cloud = PointCloud(pts)
+    if len(cloud) < 3:
+        return
+    limits: list[str] = []
+    assert almost_regular_triangle(cloud, delta, limits) == oracle.almost_regular_triangle(cloud, delta)
+    # the cap binds exactly when the coarse packing of the last scale
+    # still merges two points
+    unit = _normalize_unit(cloud.points)
+    capped = len(oracle.greedy_pack_indices(unit, 2.0**-39)) < len(unit)
+    assert limits == (["TRIANGLE_SCAN_MAX_K"] if capped else [])
+
+
+@SETTINGS
+@given(clouds(max_points=40), st.integers(0, 6), st.integers(1, 12))
+def test_minkowski_estimate_is_the_full_scan(case, k_min, width):
+    cloud = PointCloud(case[0])
+    try:
+        want = oracle.minkowski_dimension_estimate(cloud, k_min, k_min + width)
+    except AngleLabError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            minkowski_dimension_estimate(cloud, k_min, k_min + width)
+        return
+    assert minkowski_dimension_estimate(cloud, k_min, k_min + width) == want
+
+
+@SETTINGS
+@given(clouds(max_points=300), st.sampled_from([0.25, 0.5, 1.0]), st.integers(2, 30))
+def test_color_distances_are_the_full_tensor(case, a, n_colors):
+    pts = case[0]
+    got = color_distances(pts, a, n_colors)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle.color_distances(pts, a, n_colors))
+
+
+def test_color_distances_are_the_full_tensor_over_many_row_blocks():
+    pts = np.random.default_rng(3).random((700, 3))
+    assert np.array_equal(color_distances(pts, 0.2, 10), oracle.color_distances(pts, 0.2, 10))
+
+
+def test_color_distances_memory_is_the_matrix_plus_a_block():
+    # the int64 matrix of a 2,000-point core takes 30.5 MiB; the full
+    # n x n x d float tensor would add 61 MiB more
+    pts = np.random.default_rng(4).random((2000, 2))
+    tracemalloc.start()
+    try:
+        color_distances(pts, 0.1, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
