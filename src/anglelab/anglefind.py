@@ -6,7 +6,7 @@ subset, extreme (near-0/180) angles, and the supplementary-angle chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -289,13 +289,15 @@ def _window_triples(
     hi: float,
     threshold: float,
     max_candidates: int,
+    limits: set[str] | None = None,
 ) -> list[tuple[int, int, int]]:
     """Up to max_candidates triples (p, q, r) with angle at q in (lo, hi).
 
     Apexes are scanned in index order.  For each apex only the
     CHAIN_ARM_CAP farthest arms are paired (documented heuristic); the
     in-window pair maximizing the shorter arm wins, and the farther arm
-    of the pair is labeled p.
+    of the pair is labeled p.  "CHAIN_ARM_CAP" is added to `limits`, if
+    given, when a scanned apex has more usable arms than the cap.
     """
     found: list[tuple[int, int, int]] = []
     for q_pos in range(len(active)):
@@ -307,6 +309,8 @@ def _window_triples(
         norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
         ok = norms > threshold
         others, norms = others[ok], norms[ok]
+        if limits is not None and others.shape[0] > CHAIN_ARM_CAP:
+            limits.add("CHAIN_ARM_CAP")
         order = np.lexsort((others, -norms))[:CHAIN_ARM_CAP]
         others, norms = others[order], norms[order]
         # apex at row 0, then the capped arms in distance order
@@ -329,12 +333,19 @@ def _window_triples(
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Outcome of one supplementary-angle chain run (heuristic search)."""
+    """Outcome of one supplementary-angle chain run (heuristic search).
+
+    `limits_hit` names, in sorted order, the caps that bound anywhere in
+    the search: CHAIN_ARM_CAP when a scanned apex had more usable arms
+    than the cap, CHAIN_START_CAP when the start scan stopped at the cap
+    with apexes left unscanned.
+    """
 
     witness: TripleWitness
     steps: int
     direction_gap: float
     pair: tuple[int, int]
+    limits_hit: tuple[str, ...] = ()
 
     def to_json_dict(self, params: dict | None = None) -> dict:
         out = self.witness.to_json_dict("supplementary", params or {})
@@ -345,6 +356,8 @@ class ChainReport:
                 "heuristic": True,
             }
         )
+        if self.limits_hit:
+            out["params"]["limits_hit"] = list(self.limits_hit)
         return out
 
 
@@ -356,6 +369,7 @@ def _chain_from(
     epsilon: float,
     max_steps: int,
     threshold: float,
+    limits: set[str],
 ) -> Optional[ChainReport]:
     triples = [start]
     while len(triples) < max_steps:
@@ -367,7 +381,7 @@ def _chain_from(
         ball = np.nonzero(np.linalg.norm(pts - pts[p], axis=1) <= radius)[0]
         if ball.shape[0] < 3:
             break
-        nxt = _window_triples(pts, ball, lo, hi, threshold, 1)
+        nxt = _window_triples(pts, ball, lo, hi, threshold, 1, limits)
         if not nxt:
             break
         triples.append(nxt[0])
@@ -421,22 +435,28 @@ def supplementary_chain_report(
     if len(cloud) < 3:
         raise TooFewPoints("need at least 3 points")
     pts = cloud.points
+    n = pts.shape[0]
     threshold = _cloud_threshold(pts)
     lo, hi = alpha - delta, alpha + delta
-    starts = _window_triples(
-        pts, np.arange(pts.shape[0]), lo, hi, threshold, CHAIN_START_CAP
-    )
+    limits: set[str] = set()
+    starts = _window_triples(pts, np.arange(n), lo, hi, threshold, CHAIN_START_CAP, limits)
+    if len(starts) == CHAIN_START_CAP and starts[-1][1] < n - 1:
+        limits.add("CHAIN_START_CAP")
+
+    def reported(report: ChainReport) -> ChainReport:
+        return replace(report, limits_hit=tuple(sorted(limits)))
+
     best: Optional[ChainReport] = None
     for p, q, r in starts:
         for labeled in ((p, q, r), (r, q, p)):
-            report = _chain_from(pts, labeled, lo, hi, epsilon, max_steps, threshold)
+            report = _chain_from(pts, labeled, lo, hi, epsilon, max_steps, threshold, limits)
             if report is None:
                 continue
             if report.direction_gap < epsilon:
-                return report
+                return reported(report)
             if best is None or report.direction_gap < best.direction_gap:
                 best = report
-    return best
+    return None if best is None else reported(best)
 
 
 def supplementary_chain(

@@ -125,18 +125,44 @@ def _ring_segments(points: list) -> list:
     return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
 
-def _emit(args, code: int, payload: dict, plot=None, csv: str | None = None) -> int:
+def _json_text(payload: dict) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    Each top-level value is dumped on its own and indented one more level;
+    a JSON string holds no raw newline, so the replace touches only layout.
+    An ndarray value must be a finite float (n, d) array, such as a cloud's
+    points: its rows are written with one `%r` template, because
+    `float.__repr__` is how `json` writes a finite float.  The parts are
+    joined once, so the text is copied once.
+    """
+    parts = []
+    for key in sorted(payload):
+        value = payload[key]
+        parts.append(("{\n  " if not parts else ",\n  ") + json.dumps(key) + ": ")
+        if isinstance(value, np.ndarray) and value.size:
+            row = "[\n      " + ",\n      ".join(["%r"] * value.shape[1]) + "\n    ]"
+            rows = ",\n    ".join([row] * len(value)) % tuple(value.ravel().tolist())
+            parts += ["[\n    ", rows, "\n  ]"]
+        else:
+            if isinstance(value, np.ndarray):  # an empty one
+                value = value.tolist()
+            parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+    return "".join(parts + ["\n}\n"]) if parts else "{}\n"
+
+
+def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
     """Write the payload in the requested format and return the exit code.
 
     `plot` is called only for svg output; it returns the cloud, the
-    witness points to highlight and the segments to draw.
+    witness points to highlight and the segments to draw.  `csv` is
+    called only for csv output and returns the text.
     """
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload)
     elif args.format == "csv":
         if csv is None:
             raise AngleLabError(f"csv output is not defined for '{args.command}'")
-        text = csv
+        text = csv()
     else:
         if plot is None:
             raise AngleLabError(f"svg output is not defined for '{args.command}'")
@@ -154,7 +180,9 @@ def _emit(args, code: int, payload: dict, plot=None, csv: str | None = None) -> 
 def _cmd_gasket(args) -> int:
     ifs = gasket_ifs(args.n, args.delta)
     cloud = iterate_cloud(ifs, args.depth, ifs.centers(), budget=args.budget)
-    return _emit(args, 0, cloud.to_json_dict(), lambda: (cloud, [], []), csv=cloud.to_csv())
+    # the layout of cloud.to_json_dict(), with the points left as an array
+    payload = {"dimension": cloud.dimension, "points": cloud.points}
+    return _emit(args, 0, payload, lambda: (cloud, [], []), csv=cloud.to_csv)
 
 
 def _cmd_certify(args) -> int:

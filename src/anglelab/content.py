@@ -19,7 +19,7 @@ from .errors import (
     InvalidDepth,
     InvalidDimension,
 )
-from .geom import PointCloud, _json_int
+from .geom import PointCloud, _first_rows, _json_int
 
 # Cap on 2^(levels * dimension), the number of cells a full grid would hold.
 DEFAULT_CELL_BUDGET = 2_000_000
@@ -99,7 +99,7 @@ def from_points(
         raise AngleLabError("points must lie inside the unit cube")
     side = 1 << m
     idx = np.clip(np.ceil(pts * side).astype(np.int64) - 1, 0, side - 1)
-    cells = frozenset(tuple(int(c) for c in row) for row in idx)
+    cells = frozenset(map(tuple, idx[_first_rows(idx)].tolist()))
     return DyadicGrid(d, m, cells)
 
 

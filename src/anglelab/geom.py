@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -166,10 +167,7 @@ class PointCloud:
         return float(spans.max()) if spans.size else 0.0
 
     def to_json_dict(self) -> dict:
-        out = {
-            "dimension": self.dimension,
-            "points": [[float(x) for x in row] for row in self._pts],
-        }
+        out = {"dimension": self.dimension, "points": self._pts.tolist()}
         if self.label is not None:
             out["label"] = self.label
         return out
@@ -179,17 +177,24 @@ class PointCloud:
         if not isinstance(data, dict) or "dimension" not in data or "points" not in data:
             raise DimensionMismatch("cloud JSON needs 'dimension' and 'points'")
         d = _json_int(data, "dimension")
-        pts = data["points"]
-        if not isinstance(pts, list) or not all(isinstance(row, list) for row in pts):
+        rows = data["points"]
+        if type(rows) is not list or not set(map(type, rows)) <= {list}:
             raise DimensionMismatch("cloud JSON 'points' must be a list of coordinate lists")
-        for row in pts:
-            if len(row) != d:
-                raise DimensionMismatch("point length disagrees with declared dimension")
-        return cls(pts, dimension=d, label=data.get("label"))
+        if not set(map(len, rows)) <= {d}:
+            raise DimensionMismatch("point length disagrees with declared dimension")
+        # one pass over the coordinates in C: strings, booleans and null
+        # would otherwise be read as floats
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            raise AngleLabError("cloud JSON coordinates must be JSON numbers")
+        try:
+            return cls(rows, dimension=d, label=data.get("label"))
+        except OverflowError:  # an integer beyond the float range
+            raise AngleLabError("coordinates must be finite") from None
 
     def to_csv(self) -> str:
-        lines = [",".join(repr(float(x)) for x in row) for row in self._pts]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One line of `repr` floats per point, each line ending in a newline."""
+        row = ",".join(["%r"] * self.dimension) + "\n"
+        return (row * len(self)) % tuple(self._pts.ravel().tolist())
 
     @classmethod
     def from_csv(cls, text: str, label: str | None = None) -> "PointCloud":
@@ -219,15 +224,26 @@ def _json_int(data: dict, key: str) -> int:
     return value
 
 
+def _first_rows(arr: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row of
+    a 2-d array without NaN; rows compare by ==, so -0.0 equals 0.0.
+
+    One stable lexsort puts equal rows next to each other, first
+    occurrence first.
+    """
+    order = np.lexsort(arr.T[::-1])
+    ranked = arr[order]
+    new = np.ones(arr.shape[0], dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
 def _dedup_bitwise(arr: np.ndarray) -> np.ndarray:
-    if arr.shape[0] <= 1:
-        return np.ascontiguousarray(arr)
     arr = np.ascontiguousarray(arr)
-    view = arr.view([("", arr.dtype)] * arr.shape[1]).ravel()
-    _, first = np.unique(view, return_index=True)
-    if first.shape[0] == arr.shape[0]:
+    if arr.shape[0] <= 1:
         return arr
-    return arr[np.sort(first)]
+    first = _first_rows(arr)
+    return arr if first.shape[0] == arr.shape[0] else arr[first]
 
 
 @dataclass(frozen=True)

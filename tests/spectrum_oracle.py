@@ -6,7 +6,8 @@ blocks; `spectrum_payload` is the `spectrum` subcommand's JSON built from
 them.  `near_extreme_witness` keeps its own apex loop, and
 `supplementary_chain_report` its own copy of the per-apex angle block
 (`window_triples`) and of the direction angle (`vector_angle_degrees`), as
-they were before both read the library's one kernel.  Tests compare the
+they were before both read the library's one kernel; the chain also
+records which of its two caps bound, as `limits_hit`.  Tests compare the
 library against these.
 """
 
@@ -187,7 +188,7 @@ def vector_angle_degrees(u, v):
     return math.degrees(2.0 * half)
 
 
-def window_triples(pts, active, lo, hi, threshold, max_candidates):
+def window_triples(pts, active, lo, hi, threshold, max_candidates, limits=None):
     found = []
     for q_pos in range(len(active)):
         q = int(active[q_pos])
@@ -200,6 +201,8 @@ def window_triples(pts, active, lo, hi, threshold, max_candidates):
         others, vec, norms = others[ok], vec[ok], norms[ok]
         if others.shape[0] < 2:
             continue
+        if limits is not None and others.shape[0] > CHAIN_ARM_CAP:
+            limits.add("CHAIN_ARM_CAP")
         order = np.lexsort((others, -norms))[:CHAIN_ARM_CAP]
         others, vec, norms = others[order], vec[order], norms[order]
         unit = vec / norms[:, None]
@@ -218,7 +221,7 @@ def window_triples(pts, active, lo, hi, threshold, max_candidates):
     return found
 
 
-def _chain_from(pts, start, lo, hi, epsilon, max_steps, threshold):
+def _chain_from(pts, start, lo, hi, epsilon, max_steps, threshold, limits):
     triples = [start]
     while len(triples) < max_steps:
         p, q, r = triples[-1]
@@ -229,7 +232,7 @@ def _chain_from(pts, start, lo, hi, epsilon, max_steps, threshold):
         ball = np.nonzero(np.linalg.norm(pts - pts[p], axis=1) <= radius)[0]
         if ball.shape[0] < 3:
             break
-        nxt = window_triples(pts, ball, lo, hi, threshold, 1)
+        nxt = window_triples(pts, ball, lo, hi, threshold, 1, limits)
         if not nxt:
             break
         triples.append(nxt[0])
@@ -268,15 +271,24 @@ def supplementary_chain_report(cloud, alpha, delta, epsilon, max_steps):
     pts = cloud.points
     threshold = _cloud_threshold(pts)
     lo, hi = alpha - delta, alpha + delta
-    starts = window_triples(pts, np.arange(pts.shape[0]), lo, hi, threshold, CHAIN_START_CAP)
+    limits = set()
+    starts = window_triples(pts, np.arange(pts.shape[0]), lo, hi, threshold, CHAIN_START_CAP, limits)
+    # the start scan stopped at the cap if an apex after the last start was left
+    if len(starts) == CHAIN_START_CAP and starts[-1][1] != pts.shape[0] - 1:
+        limits.add("CHAIN_START_CAP")
     best = None
     for p, q, r in starts:
         for labeled in ((p, q, r), (r, q, p)):
-            report = _chain_from(pts, labeled, lo, hi, epsilon, max_steps, threshold)
+            report = _chain_from(pts, labeled, lo, hi, epsilon, max_steps, threshold, limits)
             if report is None:
                 continue
             if report.direction_gap < epsilon:
-                return report
+                return _with_limits(report, limits)
             if best is None or report.direction_gap < best.direction_gap:
                 best = report
-    return best
+    return None if best is None else _with_limits(best, limits)
+
+
+def _with_limits(report, limits):
+    return ChainReport(report.witness, report.steps, report.direction_gap, report.pair,
+                       tuple(sorted(limits)))

@@ -411,6 +411,36 @@ def test_chain_json_shape():
     assert out["metric"] == report.witness.angle
 
 
+def triangular_lattice(side: int) -> list:
+    return [
+        ((i + 0.5 * j) / side, j * math.sqrt(3) / 2.0 / side)
+        for i in range(side)
+        for j in range(side)
+    ]
+
+
+@pytest.mark.parametrize(
+    "points, limits_hit",
+    [
+        # 16 points: every apex starts a chain, the 16th start is the last apex
+        (triangular_lattice(4), ()),
+        # 64 points: 63 arms per apex; the 16th start leaves apexes unscanned
+        (triangular_lattice(8), ("CHAIN_START_CAP",)),
+        # 9 lattice points and 60 far collinear ones: 68 arms, 9 starts
+        (triangular_lattice(3) + [(10.0 + k / 100, 100.0) for k in range(60)], ("CHAIN_ARM_CAP",)),
+        (triangular_lattice(20), ("CHAIN_ARM_CAP", "CHAIN_START_CAP")),
+    ],
+)
+def test_chain_reports_the_caps_that_bind(points, limits_hit):
+    report = supplementary_chain_report(PointCloud(points), 60.0, 2.0, 0.5, 10)
+    assert report.limits_hit == limits_hit
+    params = report.to_json_dict({"alpha": 60.0})["params"]
+    if limits_hit:
+        assert params["limits_hit"] == list(limits_hit)
+    else:
+        assert "limits_hit" not in params
+
+
 def test_chain_input_validation():
     cloud = unit_grid(4)
     with pytest.raises(InvalidWindow):

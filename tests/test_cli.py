@@ -10,6 +10,7 @@ import spectrum_oracle
 from anglelab import PointCloud
 from anglelab.cli import _HANDLERS, build_parser, main
 from anglelab.content import DyadicGrid
+from anglelab.errors import AngleLabError
 from anglelab.geom import AngleInterval, _apex_pair_angles
 from anglelab.ifs import deviation_of_corners
 
@@ -430,3 +431,27 @@ def test_malformed_json_input_exits_2(capsys, tmp_path, command, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input" in captured.err
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [["1.5", "2"], [0, 1], [1, 0]],
+        [[True, 0.5], [0, 1], [1, 0]],
+        [[None, 0.5], [0, 1], [1, 0]],
+    ],
+)
+def test_cloud_coordinates_must_be_json_numbers(capsys, tmp_path, points):
+    with pytest.raises(AngleLabError, match="JSON numbers"):
+        PointCloud.from_json_dict({"dimension": 2, "points": points})
+    path = write_cloud(tmp_path, {"dimension": 2, "points": points})
+    assert main(["spectrum", "--cloud", path, "--alpha", "60", "--window", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input" in captured.err and "JSON numbers" in captured.err
+
+
+def test_cloud_integers_beyond_the_float_range_exit_2(capsys, tmp_path):
+    path = write_cloud(tmp_path, {"dimension": 2, "points": [[10**400, 0], [0, 1], [1, 0]]})
+    assert main(["spectrum", "--cloud", path, "--alpha", "60", "--window", "5"]) == 2
+    assert "coordinates must be finite" in capsys.readouterr().err

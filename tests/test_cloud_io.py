@@ -1,0 +1,137 @@
+"""Cloud I/O against the per-value code in emit_oracle: the CLI's JSON and
+csv bytes, the cell set of `from_points` and the duplicate rule of
+`PointCloud`."""
+
+import contextlib
+import io
+from argparse import Namespace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import emit_oracle as oracle
+from anglelab.cli import _emit, main
+from anglelab.content import from_points
+from anglelab.geom import PointCloud
+from anglelab.ifs import gasket_ifs, iterate_cloud
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# floats whose repr takes each of its forms: signed zero, the least
+# subnormal, exponent notation on both sides, the largest magnitudes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e16, -1e16, 1e308, -1e308,
+               0.1, -2.5, 1.0 / 3.0, 123456789.0]
+COORDS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+LABELS = st.none() | st.sampled_from(['say "hi"', "back\\slash", "ünïcødé ∠ 60°", "two\nlines"]) \
+    | st.text()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def clouds(draw):
+    d = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
+    rows = draw(st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=n, max_size=n))
+    return PointCloud(np.array(rows, dtype=float).reshape(n, d), dimension=d, label=draw(LABELS))
+
+
+def emitted(fmt: str, payload: dict, csv=None) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _emit(Namespace(format=fmt, out=None, command="gasket"), 0, payload, csv=csv) == 0
+    return out.getvalue()
+
+
+@SETTINGS
+@given(clouds())
+def test_cloud_json_and_csv_match_the_oracle(cloud):
+    want = oracle.json_text(oracle.cloud_dict(cloud))
+    assert emitted("json", cloud.to_json_dict()) == want
+    payload = {"dimension": cloud.dimension, "points": cloud.points}
+    if cloud.label is not None:
+        payload["label"] = cloud.label
+    assert emitted("json", payload) == want
+    assert emitted("csv", {}, cloud.to_csv) == oracle.to_csv(cloud.points)
+
+
+@SETTINGS
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6), clouds())
+def test_any_payload_matches_the_oracle(payload, cloud):
+    assert emitted("json", payload) == oracle.json_text(payload)
+    with_points = {**payload, "points": cloud.points}
+    assert emitted("json", with_points) == oracle.json_text({**payload, "points": cloud.points.tolist()})
+
+
+@st.composite
+def unit_clouds(draw):
+    """Points of the unit cube, many of them on the boundaries of level-m
+    cells (multiples of 2^-m, 0 and 1 among them)."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 8))
+    on_edge = st.integers(0, 1 << m).map(lambda i: i / (1 << m))
+    coord = on_edge | st.floats(0.0, 1.0)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=0, max_size=60))
+    return PointCloud(np.array(rows, dtype=float).reshape(len(rows), d), dimension=d), m
+
+
+@SETTINGS
+@given(unit_clouds())
+def test_from_points_cells_match_the_oracle(cloud_and_level):
+    cloud, m = cloud_and_level
+    assert from_points(cloud, m, budget=1 << 32).occupied == oracle.occupied_cells(cloud.points, m)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(0, 40), st.data())
+def test_duplicates_are_dropped_as_before(d, n, data):
+    pool = data.draw(st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    arr = np.array(rows, dtype=float).reshape(n, d)
+    got = PointCloud(arr, dimension=d).points
+    assert got.tobytes() == oracle.dedup(arr).tobytes()
+
+
+def test_signed_zeros_are_one_point():
+    cloud = PointCloud([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]])
+    assert cloud.points.tobytes() == np.array([[0.0, 1.0], [0.0, -0.0]]).tobytes()
+
+
+def gasket(n, delta, depth):
+    ifs = gasket_ifs(n, delta)
+    return iterate_cloud(ifs, depth, ifs.centers())
+
+
+@pytest.mark.parametrize("n, delta, depth", [(2, 0.25, 6), (5, 0.2, 2)])
+def test_gasket_bytes_match_the_oracle(capsys, n, delta, depth):
+    cloud = gasket(n, delta, depth)
+    argv = ["gasket", "--n", str(n), "--delta", str(delta), "--depth", str(depth)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == oracle.json_text(oracle.cloud_dict(cloud))
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == oracle.to_csv(cloud.points)
+
+
+def test_csv_is_built_only_on_request(capsys, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("csv built for another format")
+
+    argv = ["gasket", "--n", "2", "--delta", "0.25", "--depth", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(PointCloud, "to_csv", refuse)
+        assert main(argv) == 0
+        assert main(argv + ["--format", "svg", "--out", str(tmp_path / "g.svg")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == oracle.to_csv(gasket(2, 0.25, 3).points)
