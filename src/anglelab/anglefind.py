@@ -24,11 +24,11 @@ from .geom import (
     Point,
     PointCloud,
     TripleWitness,
+    _apex_cosines,
     _apex_pair_angles,
     _cloud_threshold,
     _projection_pair,
     _row_blocks,
-    _triple_angle_blocks,
     _unit_angle,
     angle_at,
 )
@@ -39,6 +39,9 @@ TRIANGLE_SCAN_MAX_K = 40
 CHAIN_ARM_CAP = 64
 # Number of starting triples the chain tries before settling.
 CHAIN_START_CAP = 16
+# The extreme search measures the pairs whose cosine lies this close to
+# the extreme cosine of their apex.
+EXTREME_MARGIN = 1e-9
 
 
 def ramsey_bound(r: int) -> int:
@@ -263,23 +266,51 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
 
 
 def near_extreme_witness(cloud: PointCloud, target: str) -> TripleWitness:
-    """Exhaustive search for the smallest (zero) or largest (straight) angle."""
+    """Exhaustive search for the smallest (zero) or largest (straight) angle.
+
+    The witness is the first triple of the exhaustive stream, in
+    (apex, arm1, arm2) order, whose angle is extreme.  Each apex reduces
+    its cosine matrix instead of measuring every pair: a pair whose
+    cosine falls more than EXTREME_MARGIN short of the apex's extreme
+    cosine has an angle worse by at least that many radians, since
+    |d arccos/dc| >= 1, far beyond arccos's rounding, so only the pairs
+    within the margin are measured.  The scan stops at an exact 0 or
+    180 degrees, which no later apex can beat.
+    """
     if target not in ("zero", "straight"):
         raise AngleLabError("target must be 'zero' or 'straight'")
     pts = cloud.points
-    sign = 1.0 if target == "zero" else -1.0
+    n = pts.shape[0]
+    if n < 3:
+        raise TooFewPoints(f"need at least 3 points, have {n}")
+    threshold = _cloud_threshold(pts)
+    # the search minimizes sign * angle, and `end` is the least value it can take
+    sign, end = (1.0, 0.0) if target == "zero" else (-1.0, -180.0)
     best_val = math.inf
     best: tuple[int, int, int] | None = None
-    for *triple, ang in _triple_angle_blocks(pts, None, 0):
-        vals = sign * ang
+    for a in range(n):
+        got = _apex_cosines(pts, a, threshold)
+        if got is None:
+            continue
+        arms, cos = got
+        if sign < 0.0:
+            np.negative(cos, out=cos)  # the extreme cosine is now the largest
+        np.fill_diagonal(cos, -np.inf)
+        top = min(1.0, max(-1.0, float(cos.max())))
+        i, j = np.nonzero(cos >= top - EXTREME_MARGIN)  # row-major: (i, j) order
+        upper = i < j
+        i, j = i[upper], j[upper]
+        vals = sign * np.degrees(np.arccos(np.clip(sign * cos[i, j], -1.0, 1.0)))
         pos = int(np.argmin(vals))
         if vals[pos] < best_val:
             best_val = vals[pos]
-            best = tuple(int(index[pos]) for index in triple)
+            best = (a, int(arms[i[pos]]), int(arms[j[pos]]))
+            if best_val == end:
+                break
     if best is None:
         raise TooFewPoints("no apex has two distinct arms")
     apex, p, q = (cloud.point(index) for index in best)
-    return TripleWitness(apex, p, q, angle_at(apex, p, q, threshold=_cloud_threshold(pts)))
+    return TripleWitness(apex, p, q, angle_at(apex, p, q, threshold=threshold))
 
 
 def _window_triples(
@@ -417,6 +448,7 @@ def supplementary_chain_report(
     delta: float,
     epsilon: float,
     max_steps: int,
+    limits_hit: list[str] | None = None,
 ) -> Optional[ChainReport]:
     """Chase angles near alpha through shrinking neighborhoods.
 
@@ -426,7 +458,9 @@ def supplementary_chain_report(
     steps with nearly parallel q->p directions then exhibit an angle
     near 180 - alpha.  The minimum direction gap actually achieved is
     reported (it may exceed epsilon); the search is a documented
-    heuristic and returns None when no chain of length 2 forms.
+    heuristic and returns None when no chain of length 2 forms.  The
+    names of the caps that bound, sorted, are appended to `limits_hit`,
+    if given, on every return, None included.
     """
     if delta <= 0.0 or alpha + delta <= 0.0 or alpha - delta >= 180.0:
         raise InvalidWindow("the angle window around alpha is empty")
@@ -443,8 +477,11 @@ def supplementary_chain_report(
     if len(starts) == CHAIN_START_CAP and starts[-1][1] < n - 1:
         limits.add("CHAIN_START_CAP")
 
-    def reported(report: ChainReport) -> ChainReport:
-        return replace(report, limits_hit=tuple(sorted(limits)))
+    def reported(report: Optional[ChainReport]) -> Optional[ChainReport]:
+        names = tuple(sorted(limits))
+        if limits_hit is not None:
+            limits_hit.extend(names)
+        return None if report is None else replace(report, limits_hit=names)
 
     best: Optional[ChainReport] = None
     for p, q, r in starts:
@@ -456,7 +493,7 @@ def supplementary_chain_report(
                 return reported(report)
             if best is None or report.direction_gap < best.direction_gap:
                 best = report
-    return None if best is None else reported(best)
+    return reported(best)
 
 
 def supplementary_chain(

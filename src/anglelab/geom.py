@@ -6,6 +6,7 @@ All angles are in degrees, as float64.  Inner products are clamped to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -340,12 +341,15 @@ def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:
     return best[-2], best[-1]
 
 
-def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
-    """Angles of all unordered arm pairs at apex index a.
+def _apex_cosines(pts: np.ndarray, a: int, threshold: float):
+    """Inner products of the unit arms at apex index a, unclipped.
 
-    Returns (arm_indices, angles) where angles is the condensed upper
-    triangle in lexicographic (i, j) order over arm positions, or None
-    if fewer than two valid arms exist.
+    Returns (arm_indices, cosmat), where cosmat[i, j] belongs to the
+    arms toward arm_indices[i] and arm_indices[j] (the diagonal
+    included), or None if fewer than two arms are longer than
+    `threshold`.  The exhaustive stream, the extreme search and the
+    chain measure an apex angle as the arccos of one of these entries,
+    clipped to [-1, 1].
     """
     n = pts.shape[0]
     arms = np.concatenate([np.arange(0, a), np.arange(a + 1, n)])
@@ -356,9 +360,33 @@ def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
     if arms.shape[0] < 2:
         return None
     unit = vec[ok] / norms[ok][:, None]
-    cosmat = np.clip(unit @ unit.T, -1.0, 1.0)
-    iu, ju = np.triu_indices(arms.shape[0], k=1)
-    ang = np.degrees(np.arccos(cosmat[iu, ju]))
+    return arms, unit @ unit.T
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, k=1), read-only and kept until another m is
+    asked for or the exhaustive stream ends."""
+    pairs = np.triu_indices(m, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
+    """Angles of all unordered arm pairs at apex index a.
+
+    Returns (arm_indices, iu, ju, angles) where angles is the condensed
+    upper triangle in lexicographic (i, j) order over arm positions, or
+    None if fewer than two valid arms exist.  The index pair (iu, ju) is
+    built once per run of apexes with equal arm counts.
+    """
+    got = _apex_cosines(pts, a, threshold)
+    if got is None:
+        return None
+    arms, cosmat = got
+    iu, ju = _upper_pairs(arms.shape[0])
+    ang = np.degrees(np.arccos(np.clip(cosmat[iu, ju], -1.0, 1.0)))
     return arms, iu, ju, ang
 
 
@@ -423,12 +451,15 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
         cos = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
         yield a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
         return
-    for a in range(n):
-        got = _apex_pair_angles(pts, a, threshold)
-        if got is None:
-            continue
-        arms, iu, ju, ang = got
-        yield np.full(ang.shape[0], a), arms[iu], arms[ju], ang
+    try:
+        for a in range(n):
+            got = _apex_pair_angles(pts, a, threshold)
+            if got is None:
+                continue
+            arms, iu, ju, ang = got
+            yield np.full(ang.shape[0], a), arms[iu], arms[ju], ang
+    finally:
+        _upper_pairs.cache_clear()  # no index pair outlives the scan
 
 
 def _block_hit(cloud: PointCloud, block, window: AngleInterval) -> Optional[TripleWitness]:

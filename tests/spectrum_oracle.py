@@ -3,12 +3,14 @@
 `sampled_triples`, `angle_spectrum` and `spectrum_hits` keep the bodies the
 library had before it measured every triple through one stream of array
 blocks; `spectrum_payload` is the `spectrum` subcommand's JSON built from
-them.  `near_extreme_witness` keeps its own apex loop, and
-`supplementary_chain_report` its own copy of the per-apex angle block
-(`window_triples`) and of the direction angle (`vector_angle_degrees`), as
-they were before both read the library's one kernel; the chain also
-records which of its two caps bound, as `limits_hit`.  Tests compare the
-library against these.
+them.  All three measure each apex with `apex_pair_angles`, the per-apex
+angle block as it was before the library split it into a cosine kernel and
+an index pair built once per arm count.  `near_extreme_witness` keeps the
+apex loop that measured every pair, and `supplementary_chain_report` its own
+copy of the per-apex angle block (`window_triples`) and of the direction
+angle (`vector_angle_degrees`), as they were before both read the library's
+one kernel; the chain also records which of its two caps bound, as
+`limits_hit`.  Tests compare the library against these.
 """
 
 from __future__ import annotations
@@ -19,13 +21,23 @@ import numpy as np
 
 from anglelab.anglefind import CHAIN_ARM_CAP, CHAIN_START_CAP, ChainReport
 from anglelab.errors import AngleLabError, InvalidWindow, TooFewPoints
-from anglelab.geom import (
-    TripleWitness,
-    _apex_pair_angles,
-    _cloud_threshold,
-    _total_triples,
-    angle_at,
-)
+from anglelab.geom import TripleWitness, _cloud_threshold, _total_triples, angle_at
+
+
+def apex_pair_angles(pts, a, threshold):
+    n = pts.shape[0]
+    arms = np.concatenate([np.arange(0, a), np.arange(a + 1, n)])
+    vec = pts[arms] - pts[a]
+    norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
+    ok = norms > threshold
+    arms = arms[ok]
+    if arms.shape[0] < 2:
+        return None
+    unit = vec[ok] / norms[ok][:, None]
+    cosmat = np.clip(unit @ unit.T, -1.0, 1.0)
+    iu, ju = np.triu_indices(arms.shape[0], k=1)
+    ang = np.degrees(np.arccos(cosmat[iu, ju]))
+    return arms, iu, ju, ang
 
 
 def _require_cloud(cloud, least):
@@ -79,7 +91,7 @@ def angle_spectrum(cloud, budget=None, seed=0):
             quads.append((math.degrees(math.acos(c)), int(a), int(i), int(j)))
     else:
         for a in range(n):
-            got = _apex_pair_angles(pts, a, threshold)
+            got = apex_pair_angles(pts, a, threshold)
             if got is None:
                 continue
             arms, iu, ju, ang = got
@@ -117,7 +129,7 @@ def spectrum_hits(cloud, window, budget=None, seed=0):
         return None
 
     for a in range(n):
-        got = _apex_pair_angles(pts, a, threshold)
+        got = apex_pair_angles(pts, a, threshold)
         if got is None:
             continue
         arms, iu, ju, ang = got
@@ -162,7 +174,7 @@ def near_extreme_witness(cloud, target):
     best_val = math.inf
     best = None
     for a in range(pts.shape[0]):
-        res = _apex_pair_angles(pts, a, threshold)
+        res = apex_pair_angles(pts, a, threshold)
         if res is None:
             continue
         arms, iu, ju, ang = res

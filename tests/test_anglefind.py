@@ -441,6 +441,20 @@ def test_chain_reports_the_caps_that_bind(points, limits_hit):
         assert "limits_hit" not in params
 
 
+@pytest.mark.parametrize("far", [60, 66])
+def test_chain_fills_limits_hit_on_every_return(far):
+    # with 66 far points the 64 farthest arms of every lattice apex are far
+    # points, so the arm cap hides the lattice arms and no chain forms
+    points = triangular_lattice(3) + [(10.0 + k / 100, 100.0) for k in range(far)]
+    limits_hit = ["earlier"]
+    report = supplementary_chain_report(PointCloud(points), 60.0, 2.0, 0.5, 10, limits_hit)
+    assert limits_hit == ["earlier", "CHAIN_ARM_CAP"]
+    if far == 66:
+        assert report is None
+    else:
+        assert report.limits_hit == ("CHAIN_ARM_CAP",)
+
+
 def test_chain_input_validation():
     cloud = unit_grid(4)
     with pytest.raises(InvalidWindow):
