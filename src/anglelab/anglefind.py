@@ -62,7 +62,7 @@ class RegularityParams:
 
 def regularity_params(delta: float) -> RegularityParams:
     """N = ceil(3/delta) distance intervals and the 3*N! item guarantee."""
-    if delta <= 0.0:
+    if not (delta > 0.0):
         raise InvalidWindow("regularity delta must be positive")
     n_colors = max(2, math.ceil(3.0 / delta))
     return RegularityParams(float(delta), n_colors, ramsey_bound(n_colors))
@@ -158,7 +158,7 @@ def almost_regular_triangle(
     When it reaches TRIANGLE_SCAN_MAX_K first, that name is appended to
     `limits_hit`, if given.
     """
-    if delta <= 0.0:
+    if not (delta > 0.0):
         raise InvalidWindow("regularity delta must be positive")
     if len(cloud) < 3:
         raise TooFewPoints("need at least 3 points for a triangle")
@@ -462,7 +462,7 @@ def supplementary_chain_report(
     names of the caps that bound, sorted, are appended to `limits_hit`,
     if given, on every return, None included.
     """
-    if delta <= 0.0 or alpha + delta <= 0.0 or alpha - delta >= 180.0:
+    if not (delta > 0.0 and alpha + delta > 0.0 and alpha - delta < 180.0):
         raise InvalidWindow("the angle window around alpha is empty")
     if not (0.0 < epsilon < 1.0):
         raise InvalidWindow("direction tolerance must lie in (0, 1)")

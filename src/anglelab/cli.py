@@ -8,6 +8,7 @@ Identical invocations produce byte-identical JSON and CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -406,8 +407,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:

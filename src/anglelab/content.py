@@ -157,7 +157,7 @@ def dyadic_content(grid: DyadicGrid, s: float) -> ContentResult:
     by the best covers of its nonempty children, whichever is cheaper
     (the node wins ties, keeping the cover coarse).
     """
-    if s <= 0.0:
+    if not (s > 0.0):
         raise AngleLabError("content exponent must be positive")
     if not grid.occupied:
         return ContentResult(0.0, float(s), ())
@@ -205,7 +205,7 @@ def dense_cube(grid: DyadicGrid, s: float) -> DenseCubeResult:
     """
     if not grid.occupied:
         raise EmptyGrid("dense cube search needs an occupied cell")
-    if s <= 0.0:
+    if not (s > 0.0):
         raise AngleLabError("content exponent must be positive")
     cells, values, _, _ = _tree_values(grid, s)
     best, best_val = _densest_cube(cells, values, s, grid.levels)

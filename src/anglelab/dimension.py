@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptyCloud, InvalidScales
-from .geom import Point, PointCloud, _row_blocks
+from .geom import PAIR_BLOCK, Point, PointCloud
 
 
 def _normalize_unit(pts: np.ndarray) -> np.ndarray:
@@ -32,15 +32,60 @@ def _normalize_unit(pts: np.ndarray) -> np.ndarray:
     return (pts - lo) / extent
 
 
+def _sq_dists(x: np.ndarray, i: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """`einsum` of the row differences x[i] - y[j] with themselves, for x
+    and y given by their columns: numpy gathers from a column much faster
+    than rows from a 2-d array, and the difference rows are the same."""
+    diffs = np.empty((len(i), len(x)))
+    for a, (xa, ya) in enumerate(zip(x, y)):
+        np.subtract(xa[i], ya[j], out=diffs[:, a])
+    return np.einsum("ij,ij->i", diffs, diffs)
+
+
+def _cell_slab(cells: np.ndarray, queries: np.ndarray):
+    """Candidate pairs between query cells and the rows of `cells`.
+
+    The rows are sorted stably on the widest axis of `cells`; the slab of
+    query q is the sorted stretch whose key is within one of q's, found by
+    `searchsorted`.  Returns `pairs(rows, cap, keep=None)`.  It takes the
+    longest prefix of the nonempty query rows `rows` whose slabs hold at
+    most `cap` pairs, or the first row alone if that has more, and
+    gathers their slab pairs (q, c) in row order.  It keeps the pairs
+    where `keep(q, c)` holds, then those within one cell on every axis,
+    and returns the prefix and the kept q and c.
+    """
+    axis = int(np.argmax(cells.max(axis=0) - cells.min(axis=0)))
+    key = cells[:, axis]
+    cell_cols, query_cols = cells.T.copy(), queries.T.copy()  # see _sq_dists
+    order = np.argsort(key, kind="stable")
+    lo = np.searchsorted(key[order], queries[:, axis] - 1, side="left")
+    width = np.searchsorted(key[order], queries[:, axis] + 1, side="right") - lo
+
+    def pairs(rows: np.ndarray, cap: int, keep=None):
+        ends = np.cumsum(width[rows])
+        size = max(1, int(np.searchsorted(ends, cap, side="right")))
+        rows, ends, counts = rows[:size], ends[:size], width[rows[:size]]
+        src = np.repeat(rows, counts)
+        cand = order[np.arange(ends[-1]) + np.repeat(lo[rows] - ends + counts, counts)]
+        if keep is not None:
+            near = keep(src, cand)
+            src, cand = src[near], cand[near]
+        near = np.ones(len(src), dtype=bool)
+        for c, q in zip(cell_cols, query_cols):
+            near &= np.abs(c[cand] - q[src]) <= 1
+        return rows, src[near], cand[near]
+
+    return pairs
+
+
 def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     """Indices kept by index-order greedy packing: pairwise distance > 2*epsilon.
 
     Kept centers carry pairwise disjoint closed balls of radius epsilon.
     The first unresolved point is always kept, and one vectorised step
-    removes every later point within 2*epsilon of it.  Candidates lie in
-    the slab of +-1 cells of side 2*epsilon along the widest cell axis,
-    found by `searchsorted` in the points sorted on that axis, and must
-    be within one cell on every axis before their distance is tested.
+    removes every later point within 2*epsilon of it.  Candidates come
+    from `_cell_slab` on cells of side 2*epsilon, so they are within one
+    cell on every axis before their distance is tested.
 
     A step takes a run of unresolved points at once and keeps the run up
     to its first point within 2*epsilon of an earlier run point, so a run
@@ -52,10 +97,8 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     n = pts.shape[0]
     cells = np.floor(pts / (2.0 * epsilon)).astype(np.int64)
     limit = (2.0 * epsilon) ** 2
-    key = cells[:, np.argmax(cells.max(axis=0) - cells.min(axis=0))]
-    order = np.argsort(key, kind="stable")
-    lo = np.searchsorted(key[order], key - 1, side="left")
-    width = np.searchsorted(key[order], key + 1, side="right") - lo
+    pairs = _cell_slab(cells, cells)
+    cols = pts.T.copy()
     alive = np.ones(n, dtype=bool)
     kept = []
     first, span = 0, 1
@@ -64,17 +107,8 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
         if not alive[first]:
             break
         run = first + np.flatnonzero(alive[first : first + span])
-        ends = np.cumsum(width[run])
-        size = max(1, int(np.searchsorted(ends, n, side="right")))
-        run, ends, counts = run[:size], ends[:size], width[run[:size]]
-        src = np.repeat(run, counts)
-        cand = order[np.arange(ends[-1]) + np.repeat(lo[run] - ends + counts, counts)]
-        near = alive[cand] & (cand > src)
-        src, cand = src[near], cand[near]
-        near = (np.abs(cells[cand] - cells[src]) <= 1).all(axis=1)
-        src, cand = src[near], cand[near]
-        diffs = pts[src] - pts[cand]
-        near = np.einsum("ij,ij->i", diffs, diffs) <= limit
+        run, src, cand = pairs(run, n, lambda src, cand: alive[cand] & (cand > src))
+        near = _sq_dists(cols, src, cols, cand) <= limit
         src, cand = src[near], cand[near]
         inner = cand[cand <= run[-1]]
         stop = int(inner.min()) if inner.size else int(run[-1]) + 1
@@ -112,7 +146,7 @@ def packing_number_greedy(cloud: PointCloud, epsilon: float) -> PackingReport:
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot pack an empty cloud")
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise InvalidScales("packing radius must be positive")
     kept = _greedy_pack_indices(cloud.points, epsilon)
     centers = tuple(cloud.point(i) for i in kept)
@@ -209,6 +243,14 @@ def _well_spread_core(
     center index).  `packings` maps a scale j to the indices of the 2^-j
     packing of `pts`; a missing scale is packed and stored there, so a
     scan over adjacent scales packs each scale once.
+
+    Buckets are counted by a cell join: each fine point is tested only
+    against the coarse centers of `_cell_slab` on cells of side
+    2^(-l+1).  The radius is a power of two, so the cells are exact, and
+    a pair whose rounded distance passes the test is at most one cell
+    apart on every axis, once the coordinate just below the radius is
+    counted in cell 1 (its difference to twice the radius rounds to the
+    radius itself).
     """
     packings = {} if packings is None else packings
     for j in (k, l):
@@ -218,12 +260,18 @@ def _well_spread_core(
     fine, centers = pts[fine_idx], pts[coarse_idx]
     radius = 2.0 ** (-l + 1)
     limit = radius * radius
-    counts = []
-    for rows in _row_blocks(len(centers), len(fine)):
-        diffs = (fine[None, :, :] - centers[rows, None, :]).reshape(-1, pts.shape[1])
-        inside = np.einsum("ij,ij->i", diffs, diffs) <= limit
-        counts.append(inside.reshape(-1, len(fine)).sum(axis=1))
-    diffs = fine - centers[int(np.argmax(np.concatenate(counts)))]
+    cells = np.floor(pts / radius).astype(np.int64)
+    cells[pts == np.nextafter(radius, 0.0)] = 1
+    pairs = _cell_slab(cells[coarse_idx], cells[fine_idx])
+    fine_cols, center_cols = fine.T.copy(), centers.T.copy()
+    counts = np.zeros(len(centers), dtype=np.int64)
+    todo = np.arange(len(fine))
+    while todo.size:
+        done, rows, cols = pairs(todo, PAIR_BLOCK)
+        inside = _sq_dists(fine_cols, rows, center_cols, cols) <= limit
+        counts += np.bincount(cols[inside], minlength=len(centers))
+        todo = todo[len(done) :]
+    diffs = fine - centers[int(np.argmax(counts))]
     inside = np.einsum("ij,ij->i", diffs, diffs) <= limit
     return [fine_idx[j] for j in np.nonzero(inside)[0]]
 
@@ -244,7 +292,7 @@ def well_spread_subset(
         raise EmptyCloud("cannot extract from an empty cloud")
     if not (0 < l < k):
         raise InvalidScales("need 0 < l < k")
-    if t <= 0.0:
+    if not (t > 0.0):
         raise InvalidScales("exponent t must be positive")
     pts = _normalize_unit(cloud.points)
     core = pts[_well_spread_core(pts, k, l)]

@@ -255,7 +255,7 @@ class AngleInterval:
     radius: float
 
     def __post_init__(self):
-        if not (0.0 <= self.center <= 180.0) or self.radius < 0.0:
+        if not (0.0 <= self.center <= 180.0) or not (self.radius >= 0.0):
             raise InvalidWindow(f"bad angle window ({self.center}, {self.radius})")
 
     @property

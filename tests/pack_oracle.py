@@ -66,6 +66,11 @@ def greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
 def well_spread_core(pts: np.ndarray, k: int, l: int) -> list[int]:
     fine_idx = greedy_pack_indices(pts, 2.0 ** (-k))
     coarse_idx = greedy_pack_indices(pts, 2.0 ** (-l))
+    return well_spread_core_of(pts, fine_idx, coarse_idx, l)
+
+
+def well_spread_core_of(pts: np.ndarray, fine_idx: list[int], coarse_idx: list[int], l: int) -> list[int]:
+    """The per-center loop over given fine and coarse packings."""
     fine = pts[fine_idx]
     radius = 2.0 ** (-l + 1)
     best_mask = None

@@ -8,6 +8,7 @@ import content_oracle
 import pack_oracle
 import spectrum_oracle
 from anglelab import PointCloud
+from anglelab import cli
 from anglelab.cli import _HANDLERS, build_parser, main
 from anglelab.content import DyadicGrid
 from anglelab.errors import AngleLabError
@@ -455,3 +456,49 @@ def test_cloud_integers_beyond_the_float_range_exit_2(capsys, tmp_path):
     path = write_cloud(tmp_path, {"dimension": 2, "points": [[10**400, 0], [0, 1], [1, 0]]})
     assert main(["spectrum", "--cloud", path, "--alpha", "60", "--window", "5"]) == 2
     assert "coordinates must be finite" in capsys.readouterr().err
+
+
+def test_main_parses_with_one_parser_as_a_fresh_one_would(capsys, monkeypatch, tmp_path):
+    cloud = write_cloud(tmp_path, EQ_CLOUD)
+    gasket = ["gasket", "--n", "2", "--delta", "0.25", "--depth", "1"]
+    runs = [
+        gasket,
+        ["spectrum", "--cloud", cloud, "--alpha", "60", "--window", "1"],
+        gasket + ["--budget", "5"],
+        gasket,
+        ["gasket", "--n", "2", "--delta", "0.25"],
+    ]
+
+    def outputs():
+        got = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    shared = outputs()
+    assert cli._parser() is cli._parser()
+    assert [code for code, _, _ in shared] == [0, 0, 3, 0, 2]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert outputs() == shared
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("certify --n 2 --delta 0.005 --alpha 30 --window nan", "bad angle window"),
+        ("spectrum --cloud {cloud} --alpha 60 --window nan", "bad angle window"),
+        ("content --grid {grid} --s nan", "content exponent must be positive"),
+        ("triangle --cloud {cloud} --delta nan", "regularity delta must be positive"),
+    ],
+)
+def test_nan_parameters_exit_2(capsys, tmp_path, argv, message):
+    cloud = write_cloud(tmp_path, EQ_CLOUD)
+    grid = write_cloud(tmp_path, {"dimension": 2, "levels": 2, "occupied": [[0, 1]]}, "grid.json")
+    assert main(argv.format(cloud=cloud, grid=grid).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input" in captured.err and message in captured.err

@@ -152,6 +152,8 @@ def test_packing_rejects_bad_input():
         packing_number_greedy(PointCloud([(0.0,)]), 0.0)
     with pytest.raises(InvalidScales):
         packing_number_greedy(PointCloud([(0.0,)]), -1.0)
+    with pytest.raises(InvalidScales, match="packing radius must be positive"):
+        packing_number_greedy(PointCloud([(0.0,), (1.0,)]), math.nan)
 
 
 def test_segment_dimension_is_one():
@@ -275,6 +277,8 @@ def test_well_spread_rejects_bad_scales():
         well_spread_subset(cloud, 1.0, 3, 0)
     with pytest.raises(InvalidScales):
         well_spread_subset(cloud, 0.0, 3, 2)
+    with pytest.raises(InvalidScales, match="exponent t must be positive"):
+        well_spread_subset(cloud, math.nan, 3, 2)
     with pytest.raises(EmptyCloud):
         well_spread_subset(PointCloud([], dimension=1), 1.0, 3, 2)
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pack_oracle as oracle
@@ -93,16 +93,92 @@ def test_kept_lists_are_the_loop_on_an_address_ordered_gasket():
         assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
 
 
-@SETTINGS
-@given(clouds(max_points=40), st.integers(1, 12), st.integers(1, 4))
-def test_well_spread_core_is_the_loop(case, l, gap):
-    pts = _normalize_unit(case[0])
-    k = l + gap
+@st.composite
+def bucket_clouds(draw):
+    """Clouds laid out on the bucket cells of side r = 2^(-l+1) in d = 1..7,
+    inside the unit cube and holding the origin, so normalizing leaves them
+    as they are: points on cell edges (multiples of r/2), lattice centers
+    with neighbours at distance r along an axis or a diagonal, clouds inside
+    one cell or inside one coarse ball (a single coarse center), and
+    coordinates at r, 2r and the floats just below them.  Returns the
+    points, k and l."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 7))
+    l = draw(st.integers(1, 6))
+    k = l + draw(st.integers(1, 3))
+    r = 2.0 ** (-l + 1)
+    n = int(rng.integers(1, 40))
+    kind = draw(st.sampled_from(["edges", "sphere", "cell", "ball", "below"]))
+    if kind == "edges":
+        pts = rng.integers(0, round(2 / r) + 1, size=(n, d)) * (r / 2)
+    elif kind == "sphere":
+        centers = rng.integers(0, round(1 / r) + 1, size=(n // 4 + 1, d)) * r
+        steps = np.concatenate([np.eye(d), -np.eye(d), np.full((1, d), d**-0.5), np.full((1, d), -(d**-0.5))])
+        pts = (centers[:, None, :] + r * steps[None, :, :]).reshape(-1, d)
+        pts = np.concatenate([centers, pts[rng.permutation(len(pts))[:n]]])
+    elif kind == "cell":
+        pts = rng.random((n, d)) * r
+    elif kind == "ball":
+        pts = rng.random((n, d)) * (r / math.sqrt(d))
+    else:
+        values = [0.0, np.nextafter(r, 0.0), r, np.nextafter(2 * r, 0.0), 2 * r]
+        pts = rng.choice(values, size=(n, d))
+    pts = pts[((pts >= 0.0) & (pts <= 1.0)).all(axis=1)]
+    return np.concatenate([np.zeros((1, d)), pts]), k, l
+
+
+def scan_clouds():
+    return st.builds(
+        lambda case, l, gap: (_normalize_unit(case[0]), l + gap, l),
+        clouds(max_points=40),
+        st.integers(1, 12),
+        st.integers(1, 4),
+    )
+
+
+# The float just below r sits in cell 0, 2r in cell 2, and their difference
+# rounds to r: the pair is inside, and here it decides the fullest bucket.
+_BELOW = np.nextafter(0.125, 0.0)
+# uniform clouds whose bucket counts span several pair blocks
+_UNIFORM_2D = _normalize_unit(np.random.default_rng(2).random((2000, 2)))
+_UNIFORM_3D = _normalize_unit(np.random.default_rng(3).random((1000, 3)))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(st.one_of(scan_clouds(), bucket_clouds()))
+@example((np.array([[0.75], [_BELOW], [0.0], [0.25], [0.86], [1.0]]), 5, 4))
+@example((np.array([[0.75, 0.0], [_BELOW, 0.0], [0.0, 0.0], [0.25, 0.0], [0.86, 0.0]]), 5, 4))
+@example((_UNIFORM_2D, 8, 7))
+@example((_UNIFORM_3D, 6, 5))
+def test_well_spread_core_is_the_loop(case):
+    pts, k, l = case
+    assert np.array_equal(_normalize_unit(pts), pts)
     want = oracle.well_spread_core(pts, k, l)
     assert _well_spread_core(pts, k, l) == want
     packings = {k: oracle.greedy_pack_indices(pts, 2.0**-k)}
     assert _well_spread_core(pts, k, l, packings) == want
     assert packings[l] == oracle.greedy_pack_indices(pts, 2.0**-l)
+    # both scales prefilled: the stored packings are used as they are
+    assert _well_spread_core(pts, k, l, packings) == want
+    assert _well_spread_core(pts, k, l, {k: packings[k], l: packings[l][::-1]}) == (
+        oracle.well_spread_core_of(pts, packings[k], packings[l][::-1], l)
+    )
+
+
+def test_well_spread_bucket_count_memory_is_one_pair_block():
+    # 1,025 centers by 1,973 fine points in 3-d: an array of all 2.0M pairs
+    # in int64 alone takes 15.4 MiB, and the 364k slab pairs gathered at
+    # once about 12 MiB; one block of 2^16 slab pairs takes about 2.5 MiB
+    pts = np.random.default_rng(4).random((2000, 3))
+    packings = {j: _greedy_pack_indices(pts, 2.0**-j) for j in (5, 7)}
+    assert len(packings[5]) * len(packings[7]) > 2_000_000
+    tracemalloc.start()
+    try:
+        _well_spread_core(pts, 7, 5, packings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @settings(SETTINGS, max_examples=60)
