@@ -33,6 +33,7 @@ from .geom import (
     AngleInterval,
     PointCloud,
     _block_hit,
+    _format_rows,
     _total_triples,
     _triple_angle_blocks,
     # benchmarks/test_counters.py calls both through cli
@@ -126,29 +127,35 @@ def _ring_segments(points: list) -> list:
     return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
 
-def _json_text(payload: dict) -> str:
-    """`json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+def _json_text(payload: dict):
+    """Yield the parts of `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`,
+    byte for byte.
 
     Each top-level value is dumped on its own and indented one more level;
     a JSON string holds no raw newline, so the replace touches only layout.
-    An ndarray value must be a finite float (n, d) array, such as a cloud's
-    points: its rows are written with one `%r` template, because
-    `float.__repr__` is how `json` writes a finite float.  The parts are
-    joined once, so the text is copied once.
+    A nonempty int or float ndarray value must be a finite (n, d) array,
+    such as a cloud's points or a grid's cells: `_format_rows` writes its
+    rows, formatting each distinct value once, in parts of at most
+    `geom.ROW_BLOCK` rows, so the whole text is never held at once.
     """
-    parts = []
+    if not payload:
+        yield "{}\n"
+        return
+    lead = "{\n  "
     for key in sorted(payload):
         value = payload[key]
-        parts.append(("{\n  " if not parts else ",\n  ") + json.dumps(key) + ": ")
-        if isinstance(value, np.ndarray) and value.size:
-            row = "[\n      " + ",\n      ".join(["%r"] * value.shape[1]) + "\n    ]"
-            rows = ",\n    ".join([row] * len(value)) % tuple(value.ravel().tolist())
-            parts += ["[\n    ", rows, "\n  ]"]
+        yield lead + json.dumps(key) + ": "
+        lead = ",\n  "
+        if isinstance(value, np.ndarray) and value.size and value.dtype.kind in "fi":
+            yield "[\n    "
+            row = "[\n      " + ",\n      ".join(["%s"] * value.shape[1]) + "\n    ]"
+            yield from _format_rows(value, row, ",\n    ")
+            yield "\n  ]"
         else:
-            if isinstance(value, np.ndarray):  # an empty one
+            if isinstance(value, np.ndarray):  # an empty, bool or object one
                 value = value.tolist()
-            parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
-    return "".join(parts + ["\n}\n"]) if parts else "{}\n"
+            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
@@ -156,25 +163,27 @@ def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
 
     `plot` is called only for svg output; it returns the cloud, the
     witness points to highlight and the segments to draw.  `csv` is
-    called only for csv output and returns the text.
+    called only for csv output and returns the text.  JSON is written
+    part by part as `_json_text` yields it; `--out` is closed on return.
     """
     if args.format == "json":
-        text = _json_text(payload)
+        parts = _json_text(payload)
     elif args.format == "csv":
         if csv is None:
             raise AngleLabError(f"csv output is not defined for '{args.command}'")
-        text = csv()
+        parts = [csv()]
     else:
         if plot is None:
             raise AngleLabError(f"svg output is not defined for '{args.command}'")
         cloud, marks, segments = plot()
         if cloud.dimension != 2:
             raise AngleLabError("svg output is only available for 2-dimensional clouds")
-        text = _svg_scatter(cloud.points, marks, segments)
+        parts = [_svg_scatter(cloud.points, marks, segments)]
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out:
+            out.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     return code
 
 
@@ -303,7 +312,9 @@ def _cmd_rasterize(args) -> int:
     if args.normalize:
         cloud = PointCloud(_normalize_unit(cloud.points))
     grid = from_points(cloud, args.m, budget=args.budget)
-    return _emit(args, 0, grid.to_json_dict())
+    # the layout of grid.to_json_dict(), with the cells left as an array
+    payload = {"dimension": grid.dimension, "levels": grid.levels, "occupied": grid.cell_rows()}
+    return _emit(args, 0, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,11 +57,15 @@ class DyadicGrid:
     def __len__(self) -> int:
         return len(self.occupied)
 
+    def cell_rows(self) -> np.ndarray:
+        """The occupied cells as lexicographically sorted int64 rows, (n, d)."""
+        return np.array(sorted(self.occupied), dtype=np.int64).reshape(-1, self.dimension)
+
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,
             "levels": self.levels,
-            "occupied": [list(c) for c in sorted(self.occupied)],
+            "occupied": self.cell_rows().tolist(),
         }
 
     @classmethod
@@ -115,7 +119,7 @@ def _tree_values(
     it (ties prefer the coarser cube).
     """
     m, d = grid.levels, grid.dimension
-    cells = [np.array(sorted(grid.occupied), dtype=np.int64).reshape(-1, d)]
+    cells = [grid.cell_rows()]
     values = [np.full(len(cells[0]), (2.0 ** (-m)) ** s)]
     flags = [np.ones(len(cells[0]), dtype=bool)]
     parents = []

@@ -37,6 +37,9 @@ DEGENERACY_REL = 1e-12
 # Pairwise distances are computed in blocks of at most this many pairs.
 PAIR_BLOCK = 1 << 16
 
+# Array rows are written as text in blocks of this many rows.
+ROW_BLOCK = 1024
+
 
 def _as_vector(p, dimension: int | None = None) -> np.ndarray:
     v = np.asarray(p, dtype=float)
@@ -188,14 +191,14 @@ class PointCloud:
         if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
             raise AngleLabError("cloud JSON coordinates must be JSON numbers")
         try:
-            return cls(rows, dimension=d, label=data.get("label"))
+            pts = np.fromiter(chain.from_iterable(rows), float, count=len(rows) * d)
         except OverflowError:  # an integer beyond the float range
             raise AngleLabError("coordinates must be finite") from None
+        return cls(pts.reshape(len(rows), d), dimension=d, label=data.get("label"))
 
     def to_csv(self) -> str:
         """One line of `repr` floats per point, each line ending in a newline."""
-        row = ",".join(["%r"] * self.dimension) + "\n"
-        return (row * len(self)) % tuple(self._pts.ravel().tolist())
+        return "".join(_format_rows(self._pts, ",".join(["%s"] * self.dimension) + "\n", ""))
 
     @classmethod
     def from_csv(cls, text: str, label: str | None = None) -> "PointCloud":
@@ -215,6 +218,26 @@ class PointCloud:
 
     def __repr__(self) -> str:
         return f"PointCloud(n={len(self)}, d={self.dimension}, label={self.label!r})"
+
+
+def _format_rows(arr: np.ndarray, row: str, sep: str):
+    """Yield `sep.join(row % r for r in arr)` for an (n, d) int or float
+    array, one part per ROW_BLOCK rows and `sep` between those parts.
+
+    `row` holds one `%s` per column, filled with the `repr` of each value
+    as a Python int or float, which is how `json` writes a finite one.
+    Each distinct bit pattern is formatted once: `np.unique` runs over the
+    unsigned view, so -0.0 and 0.0 keep their own reprs.
+    """
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    bits, where = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(flat.dtype).tolist())), dtype=object)
+    n, d = arr.shape
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        if lo:
+            yield sep
+        yield sep.join([row] * (hi - lo)) % tuple(texts[where[lo * d : hi * d]].tolist())
 
 
 def _json_int(data: dict, key: str) -> int:

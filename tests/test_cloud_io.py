@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import emit_oracle as oracle
 from anglelab.cli import _emit, main
 from anglelab.content import from_points
-from anglelab.geom import PointCloud
+from anglelab.dimension import _normalize_unit
+from anglelab.geom import ROW_BLOCK, PointCloud
 from anglelab.ifs import gasket_ifs, iterate_cloud
 
 SETTINGS = settings(
@@ -47,11 +48,33 @@ def clouds(draw):
     return PointCloud(np.array(rows, dtype=float).reshape(n, d), dimension=d, label=draw(LABELS))
 
 
-def emitted(fmt: str, payload: dict, csv=None) -> str:
-    out = io.StringIO()
+class Parts(io.StringIO):
+    """Stdout that keeps each part written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.parts = []
+
+    def write(self, text):  # writelines calls it once per part
+        self.parts.append(text)
+        return super().write(text)
+
+
+def emitted_parts(fmt: str, payload: dict, csv=None) -> list[str]:
+    out = Parts()
     with contextlib.redirect_stdout(out):
         assert _emit(Namespace(format=fmt, out=None, command="gasket"), 0, payload, csv=csv) == 0
-    return out.getvalue()
+    return out.parts
+
+
+def emitted(fmt: str, payload: dict, csv=None) -> str:
+    return "".join(emitted_parts(fmt, payload, csv))
+
+
+def lines(text: str) -> list[str]:
+    """The lines of a text with their ends: a failing comparison then names
+    the first differing line and does not diff a text of thousands of lines."""
+    return text.splitlines(keepends=True)
 
 
 @SETTINGS
@@ -135,3 +158,70 @@ def test_csv_is_built_only_on_request(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().err == ""
     assert main(argv + ["--format", "csv"]) == 0
     assert capsys.readouterr().out == oracle.to_csv(gasket(2, 0.25, 3).points)
+
+
+# values that repeat down the columns, as a homothetic cloud's do, with
+# both signed zeros among them
+POOL = np.array([0.0, -0.0, 0.1, -2.5, 1.0 / 3.0, 1e16, 5e-324, 123456789.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_pooled_rows_match_the_oracle(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    arr = rng.choice(POOL, size=(n, d))
+    arr[:2, 0] = [0.0, -0.0][:n]
+    assert lines(emitted("json", {"dimension": d, "points": arr})) == lines(
+        oracle.json_text({"dimension": d, "points": arr.tolist()})
+    )
+    # distinct rows through a first column that starts at -0.0
+    arr[:, 0] = -np.arange(n) / 3.0
+    cloud = PointCloud(arr)
+    assert len(cloud) == n
+    want = oracle.json_text(oracle.cloud_dict(cloud))
+    assert lines(emitted("json", cloud.to_json_dict())) == lines(want)
+    assert lines(emitted("csv", {}, cloud.to_csv)) == lines(oracle.to_csv(arr))
+
+
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+@pytest.mark.parametrize("d", [1, 3])
+def test_int_cell_rows_match_the_oracle(n, d):
+    pool = np.array([-(1 << 63), -1, 0, 1, 4095, (1 << 63) - 1], dtype=np.int64)
+    cells = np.random.default_rng(n * 10 + d).choice(pool, size=(n, d))
+    flags = cells[:, :1] > 0  # a bool array takes the json.dumps path
+    payload = {"dimension": d, "levels": 12, "occupied": cells, "flags": flags}
+    assert lines(emitted("json", payload)) == lines(
+        oracle.json_text({**payload, "occupied": cells.tolist(), "flags": flags.tolist()})
+    )
+
+
+def test_rasterize_bytes_match_the_oracle(capsys, tmp_path):
+    cloud = gasket(2, 0.25, 6)
+    path = tmp_path / "g.json"
+    path.write_text(oracle.json_text(oracle.cloud_dict(cloud)))
+    argv = ["rasterize", "--cloud", str(path), "--m", "12", "--normalize", "--budget", str(1 << 24)]
+    assert main(argv) == 0
+    grid = from_points(PointCloud(_normalize_unit(cloud.points)), 12, budget=1 << 24)
+    cells = [list(c) for c in sorted(grid.occupied)]
+    assert len(cells) > ROW_BLOCK
+    want = oracle.json_text({"dimension": 2, "levels": 12, "occupied": cells})
+    assert lines(capsys.readouterr().out) == lines(want)
+
+
+def test_gasket_json_is_streamed_in_row_blocks(capsys, tmp_path):
+    cloud = gasket(2, 0.25, 7)
+    assert len(cloud) > 2 * ROW_BLOCK
+    want = oracle.json_text(oracle.cloud_dict(cloud))
+    parts = emitted_parts("json", {"dimension": 2, "points": cloud.points})
+    assert lines("".join(parts)) == lines(want)
+    # no part holds more than one block of rows, each with its separator
+    row_text = max(len("[\n      " + ",\n      ".join(map(repr, row)) + "\n    ],\n    ")
+                   for row in cloud.points.tolist())
+    assert max(map(len, parts)) <= ROW_BLOCK * row_text < len(want) / 2
+    argv = ["gasket", "--n", "2", "--delta", "0.25", "--depth", "7"]
+    (tmp_path / "g.json").write_text("stale\n" * len(want))  # replaced, not appended to
+    assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert (tmp_path / "g.json").read_bytes().splitlines(True) == stdout.splitlines(True)
+    assert stdout == want.encode()
