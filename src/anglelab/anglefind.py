@@ -21,6 +21,7 @@ from .errors import (
     TooFewPoints,
 )
 from .geom import (
+    PAIR_BLOCK,
     Point,
     PointCloud,
     TripleWitness,
@@ -28,7 +29,6 @@ from .geom import (
     _apex_pair_angles,
     _cloud_threshold,
     _projection_pair,
-    _row_blocks,
     _unit_angle,
     angle_at,
 )
@@ -80,8 +80,11 @@ def color_distances(pts: np.ndarray, a: float, n_colors: int) -> np.ndarray:
     n = pts.shape[0]
     width = 3.0 * a / n_colors
     colors = np.empty((n, n), dtype=np.int64)
-    # row blocks keep the pair tensor small; the matrix itself is n x n
-    for rows in _row_blocks(n, n):
+    # blocks of at most PAIR_BLOCK pairs, or one row, keep the pair tensor
+    # small; the matrix itself is n x n
+    step = max(1, PAIR_BLOCK // max(1, n))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
         diffs = pts[rows, None, :] - pts[None, :, :]
         dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
         # a distance sitting on an interval boundary belongs to the upper

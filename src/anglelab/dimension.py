@@ -43,16 +43,15 @@ def _sq_dists(x: np.ndarray, i: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.
 
 
 def _cell_slab(cells: np.ndarray, queries: np.ndarray):
-    """Candidate pairs between query cells and the rows of `cells`.
+    """Pairs of query cells and rows of `cells` within one cell on every axis.
 
     The rows are sorted stably on the widest axis of `cells`; the slab of
     query q is the sorted stretch whose key is within one of q's, found by
-    `searchsorted`.  Returns `pairs(rows, cap, keep=None)`.  It takes the
-    longest prefix of the nonempty query rows `rows` whose slabs hold at
-    most `cap` pairs, or the first row alone if that has more, and
-    gathers their slab pairs (q, c) in row order.  It keeps the pairs
-    where `keep(q, c)` holds, then those within one cell on every axis,
-    and returns the prefix and the kept q and c.
+    `searchsorted`.  Returns `pairs(rows, cap)`.  It takes the longest
+    prefix of the nonempty query rows `rows` whose slabs hold at most
+    `cap` pairs, or the first row alone if that has more, gathers their
+    slab pairs (q, c) in row order, keeps those within one cell on every
+    axis, and returns the prefix and the kept q and c.
     """
     axis = int(np.argmax(cells.max(axis=0) - cells.min(axis=0)))
     key = cells[:, axis]
@@ -61,15 +60,12 @@ def _cell_slab(cells: np.ndarray, queries: np.ndarray):
     lo = np.searchsorted(key[order], queries[:, axis] - 1, side="left")
     width = np.searchsorted(key[order], queries[:, axis] + 1, side="right") - lo
 
-    def pairs(rows: np.ndarray, cap: int, keep=None):
+    def pairs(rows: np.ndarray, cap: int):
         ends = np.cumsum(width[rows])
         size = max(1, int(np.searchsorted(ends, cap, side="right")))
         rows, ends, counts = rows[:size], ends[:size], width[rows[:size]]
         src = np.repeat(rows, counts)
-        cand = order[np.arange(ends[-1]) + np.repeat(lo[rows] - ends + counts, counts)]
-        if keep is not None:
-            near = keep(src, cand)
-            src, cand = src[near], cand[near]
+        cand = order[_ragged_range(lo[rows], counts)]
         near = np.ones(len(src), dtype=bool)
         for c, q in zip(cell_cols, query_cols):
             near &= np.abs(c[cand] - q[src]) <= 1
@@ -78,47 +74,95 @@ def _cell_slab(cells: np.ndarray, queries: np.ndarray):
     return pairs
 
 
+def _ragged_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]) laid end to end."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
 def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     """Indices kept by index-order greedy packing: pairwise distance > 2*epsilon.
 
     Kept centers carry pairwise disjoint closed balls of radius epsilon.
-    The first unresolved point is always kept, and one vectorised step
-    removes every later point within 2*epsilon of it.  Candidates come
-    from `_cell_slab` on cells of side 2*epsilon, so they are within one
-    cell on every axis before their distance is tested.
+    A point is compared only with the points within one cell of its own
+    on every axis, for cells of side 2*epsilon.  The set is decided in
+    root rounds over the occupied cells (Blelloch, Fineman & Shun, SPAA
+    2012).  The adjacency of the occupied cells, the other cells within
+    one cell on every axis, is gathered once through `_cell_slab`; a
+    pair of one-point cells whose points are more than 2*epsilon apart
+    is left out of it.  In a round, a cell is a root if its first alive
+    point is below the first alive point of every adjacent cell.  The
+    first point of every root is kept, and every alive point within
+    2*epsilon of it, gathered from the root's cell and its adjacent
+    cells, dies.  Needs at least one point.
 
-    A step takes a run of unresolved points at once and keeps the run up
-    to its first point within 2*epsilon of an earlier run point, so a run
-    without inner conflicts is kept whole.  A run kept whole doubles the
-    next one, a run cut short shrinks it to the kept part, and no run
-    enumerates more slab pairs than the cloud has points, unless it is a
-    single point.  Needs at least one point.
+    The rounds keep what the index-order loop keeps.  A root's first
+    point p has no alive earlier point in its cell or in an adjacent
+    cell, and a point within 2*epsilon of p can lie nowhere else: the
+    loop looks in the same cells, and a left-out pair holds no such
+    point.  So the loop keeps p too.  Two roots of one round are not
+    adjacent, since each would need the smaller first point, so they
+    cannot conflict.  Every point that dies is within 2*epsilon of a
+    kept earlier point, so the loop drops it too.  Each round has a
+    root: the cell of the first alive point.  Distances are those of the
+    loop, bit for bit: x - y is exactly -(y - x).
     """
     n = pts.shape[0]
     cells = np.floor(pts / (2.0 * epsilon)).astype(np.int64)
     limit = (2.0 * epsilon) ** 2
-    pairs = _cell_slab(cells, cells)
-    cols = pts.T.copy()
+    cols = pts.T.copy()  # see _sq_dists
+    # the alive points, sorted by cell and ascending inside each cell
+    live = np.lexsort(cells.T[::-1])
+    new_cell = np.zeros(n, dtype=bool)
+    new_cell[0] = True
+    for c in cells.T:  # column by column: see _sq_dists
+        c = c[live]
+        new_cell[1:] |= c[1:] != c[:-1]
+    live_cell = np.cumsum(new_cell) - 1
+    size = np.bincount(live_cell)
+    n_cells, leader = len(size), live[new_cell]
+    pairs = _cell_slab(cells[leader], cells[leader])
+    todo, adj, degree = np.arange(n_cells), [], np.zeros(n_cells, dtype=np.int64)
+    while todo.size:
+        done, src, cand = pairs(todo, PAIR_BLOCK)
+        link = src != cand
+        # two one-point cells are linked only if their points conflict
+        lone = np.flatnonzero(link & (size[src] == 1) & (size[cand] == 1))
+        link[lone] = _sq_dists(cols, leader[src[lone]], cols, leader[cand[lone]]) <= limit
+        adj.append(cand[link].astype(np.int32))
+        degree[done] = np.bincount(src[link] - done[0], minlength=len(done))
+        todo = todo[len(done) :]
+    adj = np.concatenate(adj)
+    adj_start = np.cumsum(degree) - degree
+    linked = degree > 0
+    segments = adj_start[linked]
+    # the most points that the kills of a root gather
+    reach = size.copy()
+    reach[linked] += np.add.reduceat(size[adj], segments)
     alive = np.ones(n, dtype=bool)
-    kept = []
-    first, span = 0, 1
-    while first < n:
-        first += int(np.argmax(alive[first:]))
-        if not alive[first]:
-            break
-        run = first + np.flatnonzero(alive[first : first + span])
-        run, src, cand = pairs(run, n, lambda src, cand: alive[cand] & (cand > src))
-        near = _sq_dists(cols, src, cols, cand) <= limit
-        src, cand = src[near], cand[near]
-        inner = cand[cand <= run[-1]]
-        stop = int(inner.min()) if inner.size else int(run[-1]) + 1
-        keep = run[run < stop]
-        kept.append(keep)
-        alive[keep] = False
-        alive[cand[src < stop]] = False
-        span = (stop - first) * (1 if inner.size else 2)
-        first = stop
-    return np.concatenate(kept).tolist()
+    kept = np.zeros(n, dtype=bool)
+    while live.size:
+        count = np.bincount(live_cell, minlength=n_cells)
+        start = np.cumsum(count) - count
+        first = np.full(n_cells, n)
+        first[count > 0] = live[start[count > 0]]
+        lowest = np.full(n_cells, n)
+        lowest[linked] = np.minimum.reduceat(first[adj], segments)
+        roots = np.flatnonzero(first < lowest)
+        kept[first[roots]] = True
+        ends = np.cumsum(reach[roots])
+        while roots.size:
+            # the roots whose kills gather at most PAIR_BLOCK pairs, or one
+            take = max(1, int(np.searchsorted(ends, PAIR_BLOCK, side="right")))
+            chunk, roots, ends = roots[:take], roots[take:], ends[take:] - ends[take - 1]
+            near = np.concatenate([chunk, adj[_ragged_range(adj_start[chunk], degree[chunk])]])
+            owner = first[np.concatenate([chunk, np.repeat(chunk, degree[chunk])])]
+            src = np.repeat(owner, count[near])
+            cand = live[_ragged_range(start[near], count[near])]
+            alive[cand[_sq_dists(cols, src, cols, cand) <= limit]] = False
+        survive = alive[live]
+        live, live_cell = live[survive], live_cell[survive]
+    return np.flatnonzero(kept).tolist()
 
 
 @dataclass(frozen=True)
@@ -245,12 +289,12 @@ def _well_spread_core(
     scan over adjacent scales packs each scale once.
 
     Buckets are counted by a cell join: each fine point is tested only
-    against the coarse centers of `_cell_slab` on cells of side
-    2^(-l+1).  The radius is a power of two, so the cells are exact, and
-    a pair whose rounded distance passes the test is at most one cell
-    apart on every axis, once the coordinate just below the radius is
-    counted in cell 1 (its difference to twice the radius rounds to the
-    radius itself).
+    against the coarse centers within one cell of its own on every axis,
+    found by `_cell_slab` on cells of side 2^(-l+1).  The radius is a
+    power of two, so the cells are exact, and a pair whose rounded
+    distance passes the test is at most one cell apart on every axis,
+    once the coordinate just below the radius is counted in cell 1 (its
+    difference to twice the radius rounds to the radius itself).
     """
     packings = {} if packings is None else packings
     for j in (k, l):

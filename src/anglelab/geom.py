@@ -326,13 +326,6 @@ def _cloud_threshold(pts: np.ndarray) -> float:
     return max(DEGENERACY_ABS, DEGENERACY_REL * diag)
 
 
-def _row_blocks(rows: int, cols: int):
-    """Slices of range(rows) whose rows pair with `cols` columns in at most
-    PAIR_BLOCK pairs, or one row where a single row has more."""
-    step = max(1, PAIR_BLOCK // max(1, cols))
-    return (slice(start, start + step) for start in range(0, rows, step))
-
-
 def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:
     """Positions i < j of the pair with the least (*keys(i, j), i, j).
 

@@ -1,4 +1,4 @@
-"""Reference packing code: the per-point loops that the step kernel replaced.
+"""Reference packing code: the per-point loops that the library's kernels replaced.
 
 `greedy_pack_indices` is the index-order loop the library ran, with its
 3^d neighbour-cell enumeration and its occupied-table scan; the other

@@ -1,4 +1,4 @@
-"""The step packing kernel and the scans above it against the loops in pack_oracle."""
+"""The packing kernel and the scans above it against the loops in pack_oracle."""
 
 import math
 import re
@@ -79,18 +79,76 @@ def test_kept_lists_are_the_loop(case):
 
 @pytest.mark.parametrize("d, n, ks", [(2, 3000, range(3, 12)), (5, 600, range(1, 6)), (7, 300, (1, 2, 3))])
 def test_kept_lists_are_the_loop_on_larger_uniform_clouds(d, n, ks):
-    # long runs: the run length doubles and the slab-pair cap binds
+    # many rounds with many roots each; the slab-pair cap binds while the
+    # adjacency is gathered
     pts = np.random.default_rng(d).random((n, d))
     for k in ks:
         assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
 
 
-def test_kept_lists_are_the_loop_on_an_address_ordered_gasket():
-    # consecutive points share a cell, so most runs stop after one point
-    ifs = gasket_ifs(2, 0.25)
-    pts = _normalize_unit(iterate_cloud(ifs, 6, ifs.centers()).points)
-    for k in range(1, 10):
+@pytest.mark.parametrize(
+    "n, delta, depth, ks",
+    [
+        (2, 0.25, 6, range(1, 10)),
+        (5, 0.2, 3, range(1, 7)),
+        # tight clusters: the kept count stays flat over many scales
+        (2, 0.005, 3, range(1, 31)),
+    ],
+)
+def test_kept_lists_are_the_loop_on_address_ordered_gaskets(n, delta, depth, ks):
+    # consecutive points share a cell, and the clusters resolve side by side
+    ifs = gasket_ifs(n, delta)
+    pts = _normalize_unit(iterate_cloud(ifs, depth, ifs.centers()).points)
+    for k in ks:
         assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
+
+
+def _unit_grid(n):
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.column_stack([i.ravel(), j.ravel()]) / (n - 1)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("k", [4, 6])
+def test_kept_lists_are_the_loop_on_row_major_grids(n, k):
+    # at k = 6 the 32 x 32 grid keeps every point, one per cell, and the
+    # 64 x 64 grid keeps the first of the four points in each cell; each
+    # cell's first point waits for the cells before it in row order
+    pts = _unit_grid(n)
+    kept = _greedy_pack_indices(pts, 2.0**-k)
+    assert kept == oracle.greedy_pack_indices(pts, 2.0**-k)
+    assert len(kept) == {(32, 4): 68, (64, 4): 80}.get((n, k), 1024)
+
+
+@pytest.mark.parametrize(
+    "pts, kept",
+    [
+        # cells 0 and 2 (side 1) are roots of the first round and both kill
+        # into cell 1, point 4 from either side at distance exactly 1
+        ([[0.5, 0.5], [2.5, 0.5], [1.2, 0.5], [1.8, 0.5], [1.5, 0.5], [9.5, 9.5], [9.9, 9.5]], [0, 1, 5]),
+        # adjacent one-point cells whose points are more than 1 apart do not
+        # wait for each other; points 2 and 3 are 1 apart and 3 is dropped
+        ([[0.1, 0.1], [1.9, 1.9], [3.0, 0.5], [4.0, 0.5], [3.9, 1.9]], [0, 1, 2, 4]),
+    ],
+)
+def test_one_round_keeps_several_roots(pts, kept):
+    pts = np.array(pts)
+    assert _greedy_pack_indices(pts, 0.5) == oracle.greedy_pack_indices(pts, 0.5) == kept
+
+
+@pytest.mark.parametrize("d, n, k", [(3, 20_000, 6), (7, 3_000, 3)])
+def test_packing_memory_is_bounded_by_pair_blocks(d, n, k):
+    # the adjacency of the occupied cells is stored once in int32, and the
+    # slab pairs and the kills of a round are gathered in blocks of at most
+    # PAIR_BLOCK pairs; gathered all at once they peak above 14 MiB
+    pts = np.random.default_rng(d).random((n, d))
+    tracemalloc.start()
+    try:
+        _greedy_pack_indices(pts, 2.0**-k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @st.composite
