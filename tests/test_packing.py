@@ -140,7 +140,8 @@ def test_one_round_keeps_several_roots(pts, kept):
 def test_packing_memory_is_bounded_by_pair_blocks(d, n, k):
     # the adjacency of the occupied cells is stored once in int32, and the
     # slab pairs and the kills of a round are gathered in blocks of at most
-    # PAIR_BLOCK pairs; gathered all at once they peak above 14 MiB
+    # PAIR_BLOCK pairs; the 20.6M slab pairs of the 3-d cloud gathered in
+    # one block peak at about 650 MiB
     pts = np.random.default_rng(d).random((n, d))
     tracemalloc.start()
     try:
