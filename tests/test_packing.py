@@ -86,10 +86,17 @@ def test_kept_lists_are_the_loop_on_larger_uniform_clouds(d, n, ks):
         assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
 
 
+def test_kept_lists_are_the_loop_on_an_address_ordered_gasket():
+    # consecutive points share a cell, and the clusters resolve side by side
+    ifs = gasket_ifs(2, 0.25)
+    pts = _normalize_unit(iterate_cloud(ifs, 6, ifs.centers()).points)
+    for k in range(1, 10):
+        assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
+
+
 @pytest.mark.parametrize(
     "n, delta, depth, ks",
     [
-        (2, 0.25, 6, range(1, 10)),
         (5, 0.2, 3, range(1, 7)),
         # tight clusters: the kept count stays flat over many scales
         (2, 0.005, 3, range(1, 31)),
