@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dimension import _normalize_unit, _well_spread_core
+from .dimension import _blocks, _normalize_unit, _well_spread_core
 from .errors import (
     AngleLabError,
     InvalidArity,
@@ -21,7 +21,6 @@ from .errors import (
     TooFewPoints,
 )
 from .geom import (
-    PAIR_BLOCK,
     Point,
     PointCloud,
     TripleWitness,
@@ -30,6 +29,7 @@ from .geom import (
     _cloud_threshold,
     _projection_pair,
     _unit_angle,
+    _witness_json,
     angle_at,
 )
 
@@ -80,11 +80,9 @@ def color_distances(pts: np.ndarray, a: float, n_colors: int) -> np.ndarray:
     n = pts.shape[0]
     width = 3.0 * a / n_colors
     colors = np.empty((n, n), dtype=np.int64)
-    # blocks of at most PAIR_BLOCK pairs, or one row, keep the pair tensor
-    # small; the matrix itself is n x n
-    step = max(1, PAIR_BLOCK // max(1, n))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+    # row blocks of at most PAIR_BLOCK pairs keep the pair tensor small; the
+    # matrix itself is n x n
+    for rows in _blocks(np.full(n, n)):
         diffs = pts[rows, None, :] - pts[None, :, :]
         dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
         # a distance sitting on an interval boundary belongs to the upper
@@ -132,15 +130,8 @@ class TriangleWitness:
         return _side_ratio([np.asarray(p, dtype=float) for p in self.vertices])
 
     def to_json_dict(self, params: dict | None = None) -> dict:
-        out = {
-            "kind": "triangle",
-            "points": [list(p) for p in self.vertices],
-            "metric": self.side_ratio,
-            "params": {"color": self.color},
-        }
-        if params:
-            out["params"].update(params)
-        return out
+        params = {"color": self.color, **(params or {})}
+        return _witness_json("triangle", self.vertices, self.side_ratio, params)
 
 
 def almost_regular_triangle(
@@ -207,26 +198,19 @@ class RightAngleWitness:
 
     def to_json_dict(self) -> dict:
         k, l, t = self.scale_params
-        return {
-            "kind": "right",
-            "points": [
-                list(self.triple.apex),
-                list(self.triple.arm1),
-                list(self.triple.arm2),
-            ],
-            "metric": self.deviation,
-            "params": {"k": k, "l": l, "t": t, "angle": self.triple.angle},
-        }
+        w = self.triple
+        params = {"k": k, "l": l, "t": t, "angle": w.angle}
+        return _witness_json("right", (w.apex, w.arm1, w.arm2), self.deviation, params)
 
 
 def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
     """Search for an angle near 90 degrees by projecting a well-spread subset.
 
     The cloud is rescaled so its diameter exceeds 2, a well-spread
-    subset S at scales (k, l) is extracted, and the pair of S whose
-    projections onto the line from S's first point O to the farthest
-    cloud point P are closest yields the apex: the angle at Q1 between
-    P and Q2 is reported with its deviation from 90 degrees.
+    subset S at scales (k, l) is extracted, and the pair of S minus P
+    whose projections onto the line from S's first point O to the
+    farthest cloud point P are closest yields the apex: the angle at Q1
+    between P and Q2 is reported with its deviation from 90 degrees.
     """
     if not (0 < l < k):
         raise InvalidScales("need 0 < l < k")
@@ -240,13 +224,15 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
     unit = (pts - lo) / extent
     work = unit * 4.0
     core = _well_spread_core(unit, k, l)
-    if len(core) < 2:
-        raise TooFewPoints("the well-spread subset is too small to project")
     origin = work[core[0]]
     dists = np.linalg.norm(work - origin, axis=1)
     p_idx = int(np.argmax(dists))
     direction = (work[p_idx] - origin) / dists[p_idx]
-    spread = work[core]
+    # P is an arm, so a pair holding it would give two equal arms
+    pool = [c for c in core if c != p_idx]
+    if len(pool) < 2:
+        raise TooFewPoints("the well-spread subset is too small to project")
+    spread = work[pool]
     proj = (spread - origin) @ direction
 
     # ties in the projection gap (common on symmetric clouds) go to the
@@ -256,9 +242,7 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
         return np.abs(proj[i] - proj[j]), np.linalg.norm(chord, axis=1)
 
     i, j = _projection_pair(proj, keys, lambda gap: gap)
-    q1_idx, q2_idx = core[i], core[j]
-    if q1_idx == p_idx:
-        q1_idx, q2_idx = q2_idx, q1_idx
+    q1_idx, q2_idx = pool[i], pool[j]
     apex = cloud.point(q1_idx)
     arm_p = cloud.point(p_idx)
     arm_q = cloud.point(q2_idx)

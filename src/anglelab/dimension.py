@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptyCloud, InvalidScales
-from .geom import PAIR_BLOCK, Point, PointCloud
+from .geom import PAIR_BLOCK, Point, PointCloud, _row_groups
 
 
 def _normalize_unit(pts: np.ndarray) -> np.ndarray:
@@ -42,16 +42,28 @@ def _sq_dists(x: np.ndarray, i: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.
     return np.einsum("ij,ij->i", diffs, diffs)
 
 
+def _blocks(counts: np.ndarray, cap: int = PAIR_BLOCK):
+    """Consecutive slices covering `counts`, each the longest run from its
+    start whose counts sum to at most `cap`, or one item if that alone
+    has more.  Every gather of pairs goes in these blocks of its items'
+    pair counts, so it holds at most PAIR_BLOCK pairs, or one item's."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(ends):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _cell_slab(cells: np.ndarray, queries: np.ndarray):
     """Pairs of query cells and rows of `cells` within one cell on every axis.
 
     The rows are sorted stably on the widest axis of `cells`; the slab of
     query q is the sorted stretch whose key is within one of q's, found by
-    `searchsorted`.  Returns `pairs(rows, cap)`.  It takes the longest
-    prefix of the nonempty query rows `rows` whose slabs hold at most
-    `cap` pairs, or the first row alone if that has more, gathers their
-    slab pairs (q, c) in row order, keeps those within one cell on every
-    axis, and returns the prefix and the kept q and c.
+    `searchsorted`.  Yields (rows, q, c) for consecutive `_blocks` of
+    queries by slab size: the slice of query rows and, in row order, the
+    slab pairs (q, c) of those rows that are within one cell on every axis.
     """
     axis = int(np.argmax(cells.max(axis=0) - cells.min(axis=0)))
     key = cells[:, axis]
@@ -59,19 +71,14 @@ def _cell_slab(cells: np.ndarray, queries: np.ndarray):
     order = np.argsort(key, kind="stable")
     lo = np.searchsorted(key[order], queries[:, axis] - 1, side="left")
     width = np.searchsorted(key[order], queries[:, axis] + 1, side="right") - lo
-
-    def pairs(rows: np.ndarray, cap: int):
-        ends = np.cumsum(width[rows])
-        size = max(1, int(np.searchsorted(ends, cap, side="right")))
-        rows, ends, counts = rows[:size], ends[:size], width[rows[:size]]
-        src = np.repeat(rows, counts)
-        cand = order[_ragged_range(lo[rows], counts)]
+    del cells, queries, key  # a suspended generator would keep them alive
+    for rows in _blocks(width):
+        src = np.repeat(np.arange(rows.start, rows.stop), width[rows])
+        cand = order[_ragged_range(lo[rows], width[rows])]
         near = np.ones(len(src), dtype=bool)
         for c, q in zip(cell_cols, query_cols):
             near &= np.abs(c[cand] - q[src]) <= 1
-        return rows, src[near], cand[near]
-
-    return pairs
+        yield rows, src[near], cand[near]
 
 
 def _ragged_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -112,26 +119,18 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     limit = (2.0 * epsilon) ** 2
     cols = pts.T.copy()  # see _sq_dists
     # the alive points, sorted by cell and ascending inside each cell
-    live = np.lexsort(cells.T[::-1])
-    new_cell = np.zeros(n, dtype=bool)
-    new_cell[0] = True
-    for c in cells.T:  # column by column: see _sq_dists
-        c = c[live]
-        new_cell[1:] |= c[1:] != c[:-1]
+    live, new_cell = _row_groups(cells)
     live_cell = np.cumsum(new_cell) - 1
     size = np.bincount(live_cell)
     n_cells, leader = len(size), live[new_cell]
-    pairs = _cell_slab(cells[leader], cells[leader])
-    todo, adj, degree = np.arange(n_cells), [], np.zeros(n_cells, dtype=np.int64)
-    while todo.size:
-        done, src, cand = pairs(todo, PAIR_BLOCK)
+    adj, degree = [], np.zeros(n_cells, dtype=np.int64)
+    for rows, src, cand in _cell_slab(cells[leader], cells[leader]):
         link = src != cand
         # two one-point cells are linked only if their points conflict
         lone = np.flatnonzero(link & (size[src] == 1) & (size[cand] == 1))
         link[lone] = _sq_dists(cols, leader[src[lone]], cols, leader[cand[lone]]) <= limit
         adj.append(cand[link].astype(np.int32))
-        degree[done] = np.bincount(src[link] - done[0], minlength=len(done))
-        todo = todo[len(done) :]
+        degree[rows] = np.bincount(src[link] - rows.start, minlength=rows.stop - rows.start)
     adj = np.concatenate(adj)
     adj_start = np.cumsum(degree) - degree
     linked = degree > 0
@@ -150,11 +149,8 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
         lowest[linked] = np.minimum.reduceat(first[adj], segments)
         roots = np.flatnonzero(first < lowest)
         kept[first[roots]] = True
-        ends = np.cumsum(reach[roots])
-        while roots.size:
-            # the roots whose kills gather at most PAIR_BLOCK pairs, or one
-            take = max(1, int(np.searchsorted(ends, PAIR_BLOCK, side="right")))
-            chunk, roots, ends = roots[:take], roots[take:], ends[take:] - ends[take - 1]
+        for block in _blocks(reach[roots]):
+            chunk = roots[block]
             near = np.concatenate([chunk, adj[_ragged_range(adj_start[chunk], degree[chunk])]])
             owner = first[np.concatenate([chunk, np.repeat(chunk, degree[chunk])])]
             src = np.repeat(owner, count[near])
@@ -306,15 +302,11 @@ def _well_spread_core(
     limit = radius * radius
     cells = np.floor(pts / radius).astype(np.int64)
     cells[pts == np.nextafter(radius, 0.0)] = 1
-    pairs = _cell_slab(cells[coarse_idx], cells[fine_idx])
     fine_cols, center_cols = fine.T.copy(), centers.T.copy()
     counts = np.zeros(len(centers), dtype=np.int64)
-    todo = np.arange(len(fine))
-    while todo.size:
-        done, rows, cols = pairs(todo, PAIR_BLOCK)
+    for _, rows, cols in _cell_slab(cells[coarse_idx], cells[fine_idx]):
         inside = _sq_dists(fine_cols, rows, center_cols, cols) <= limit
         counts += np.bincount(cols[inside], minlength=len(centers))
-        todo = todo[len(done) :]
     diffs = fine - centers[int(np.argmax(counts))]
     inside = np.einsum("ij,ij->i", diffs, diffs) <= limit
     return [fine_idx[j] for j in np.nonzero(inside)[0]]

@@ -41,12 +41,8 @@ class BudgetExceeded(AngleLabError):
     """The requested computation exceeds the configured budget."""
 
 
-class IdenticalCodes(AngleLabError):
-    """Two address codes required to differ are identical."""
-
-
 class InvalidCode(AngleLabError):
-    """An address code has bad length or out-of-range digits."""
+    """A map index lies outside the system's maps."""
 
 
 class InvalidDepth(AngleLabError):

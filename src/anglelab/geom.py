@@ -123,6 +123,7 @@ def regular_simplex(n: int) -> np.ndarray:
 class PointCloud:
     """Finite list of distinct points in R^d.
 
+    The points are copied, so the cloud never shares the caller's array.
     Exact duplicates are dropped (first occurrence kept); near-duplicates
     are preserved.  Coordinates must be finite.
     """
@@ -130,7 +131,7 @@ class PointCloud:
     __slots__ = ("_pts", "label")
 
     def __init__(self, points, dimension: int | None = None, label: str | None = None):
-        arr = np.asarray(points, dtype=float)
+        arr = np.array(points, dtype=float, order="C")
         if arr.size == 0:
             if dimension is None:
                 raise DimensionMismatch("empty cloud needs an explicit dimension")
@@ -143,7 +144,9 @@ class PointCloud:
             )
         if not np.all(np.isfinite(arr)):
             raise AngleLabError("coordinates must be finite")
-        arr = _dedup_bitwise(arr)
+        if arr.shape[0] > 1:
+            first = _first_rows(arr)
+            arr = arr if len(first) == len(arr) else arr[first]
         arr.setflags(write=False)
         self._pts = arr
         self.label = label
@@ -248,26 +251,27 @@ def _json_int(data: dict, key: str) -> int:
     return value
 
 
-def _first_rows(arr: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row of
-    a 2-d array without NaN; rows compare by ==, so -0.0 equals 0.0.
+def _row_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, new) for a 2-d array without NaN, with at least one column.
 
-    One stable lexsort puts equal rows next to each other, first
-    occurrence first.
+    `order` is the stable lexsort of the rows, so equal rows lie next to
+    each other in it, first occurrence first; new[i] says that row
+    order[i] differs from row order[i - 1].  Rows compare by ==, so -0.0
+    equals 0.0.
     """
     order = np.lexsort(arr.T[::-1])
-    ranked = arr[order]
-    new = np.ones(arr.shape[0], dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new = np.zeros(arr.shape[0], dtype=bool)
+    new[:1] = True
+    for c in arr.T:  # column by column: see dimension._sq_dists
+        c = c[order]
+        new[1:] |= c[1:] != c[:-1]
+    return order, new
+
+
+def _first_rows(arr: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    order, new = _row_groups(arr)
     return np.sort(order[new])
-
-
-def _dedup_bitwise(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    if arr.shape[0] <= 1:
-        return arr
-    first = _first_rows(arr)
-    return arr if first.shape[0] == arr.shape[0] else arr[first]
 
 
 @dataclass(frozen=True)
@@ -310,12 +314,18 @@ class TripleWitness:
         return angle_at(self.apex, self.arm1, self.arm2)
 
     def to_json_dict(self, kind: str, params: dict | None = None) -> dict:
-        return {
-            "kind": kind,
-            "points": [list(self.apex), list(self.arm1), list(self.arm2)],
-            "metric": self.angle,
-            "params": params or {},
-        }
+        return _witness_json(kind, (self.apex, self.arm1, self.arm2), self.angle, params)
+
+
+def _witness_json(kind: str, points, metric: float, params: dict | None) -> dict:
+    """The JSON payload of every witness: its kind, its points as lists,
+    the metric it is judged by and its parameters (none: {})."""
+    return {
+        "kind": kind,
+        "points": [list(p) for p in points],
+        "metric": metric,
+        "params": params or {},
+    }
 
 
 def _cloud_threshold(pts: np.ndarray) -> float:

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateVector,
     DimensionMismatch,
     EmptyCloud,
-    IdenticalCodes,
     InvalidArity,
     InvalidCode,
     InvalidDepth,
@@ -31,12 +30,12 @@ from .errors import (
     SameIndex,
 )
 from .geom import (
-    DEGENERACY_ABS,
     AngleInterval,
     PointCloud,
     Point,
     _json_int,
     _projection_pair,
+    _witness_json,
     line_pair_angle,
     regular_simplex,
 )
@@ -48,8 +47,6 @@ DEFAULT_POINT_BUDGET = 2_000_000
 # construction cannot avoid; every angle of a gasket cloud stays within
 # the deviation bound of one of these.
 SPECIAL_ANGLES = (0.0, 60.0, 90.0, 120.0, 180.0)
-
-AddressCode = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -115,25 +112,6 @@ class HomotheticIFS:
 
     def centers(self) -> np.ndarray:
         return np.array([h.center for h in self.maps], dtype=float)
-
-    def validate_code(self, code) -> AddressCode:
-        digits = tuple(int(x) for x in code)
-        for x in digits:
-            if not (0 <= x < len(self.maps)):
-                raise InvalidCode(f"digit {x} outside the map alphabet")
-        return digits
-
-    def compose_word(self, code) -> Homothety:
-        """Composition S_{c1} . S_{c2} . ... for a nonempty address code."""
-        digits = self.validate_code(code)
-        if not digits:
-            raise InvalidCode("cannot compose an empty address code")
-        ratio = 1.0
-        offset = np.zeros(self.dimension)
-        for digit in digits:
-            h = self.maps[digit]
-            ratio, offset = ratio * h.ratio, ratio * h.offset + offset
-        return Homothety(tuple(offset / (1.0 - ratio)), ratio)
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,48 +261,6 @@ def avoidance_certificate(n: int, delta: float, window: AngleInterval) -> Avoida
     return AvoidanceCertificate(certified, eps, window, SPECIAL_ANGLES)
 
 
-def parallel_pair_lift(
-    ifs: HomotheticIFS, code0, code1, seeds: tuple[Point, Point]
-) -> tuple[Point, Point, int, int]:
-    """Strip the common prefix of two coded points, preserving direction.
-
-    Returns (y0, y1, i, j): the images of the seeds under the stripped
-    codes and the first differing digits.  Since the stripped prefix is
-    a homothety with positive ratio, y0 - y1 is parallel to x0 - x1.
-    """
-    c0 = ifs.validate_code(code0)
-    c1 = ifs.validate_code(code1)
-    if c0 == c1:
-        raise IdenticalCodes("address codes must differ")
-    if len(c0) != len(c1):
-        raise InvalidCode("address codes must have equal lengths")
-    s0 = np.asarray(seeds[0], dtype=float)
-    s1 = np.asarray(seeds[1], dtype=float)
-    if s0.shape != (ifs.dimension,) or s1.shape != (ifs.dimension,):
-        raise DimensionMismatch("seeds must be points of the system dimension")
-
-    x0 = ifs.compose_word(c0).apply(s0)
-    x1 = ifs.compose_word(c1).apply(s1)
-    if float(np.linalg.norm(x0 - x1)) <= DEGENERACY_ABS:
-        raise DegenerateVector("coded points coincide; no direction to preserve")
-
-    p = 0
-    while c0[p] == c1[p]:
-        p += 1
-    if p == 0:
-        y0, y1 = x0, x1
-    else:
-        prefix = ifs.compose_word(c0[:p])
-        y0 = (x0 - prefix.offset) / prefix.ratio
-        y1 = (x1 - prefix.offset) / prefix.ratio
-    return (
-        tuple(float(v) for v in y0),
-        tuple(float(v) for v in y1),
-        c0[p],
-        c1[p],
-    )
-
-
 @dataclass(frozen=True)
 class RectangleWitness:
     """Four points forming a near-rectangle, with their deviation.
@@ -337,12 +273,7 @@ class RectangleWitness:
     deviation: float
 
     def to_json_dict(self, params: dict | None = None) -> dict:
-        return {
-            "kind": "rectangle",
-            "points": [list(c) for c in self.corners],
-            "metric": self.deviation,
-            "params": params or {},
-        }
+        return _witness_json("rectangle", self.corners, self.deviation, params)
 
 
 def deviation_of_corners(corners) -> float:

@@ -1,7 +1,8 @@
 """Reference pair searches: the all-pairs scans that the projection-order sweep replaced.
 
 `near_right_witness` keeps the body the library had when it chose its pair
-from an n x n gap matrix and an n x n x d span tensor; `chunked_rectangle_pair`
+from an n x n gap matrix and an n x n x d span tensor, with the far point P
+left out of the pair as the library leaves it out; `chunked_rectangle_pair`
 is the 256-row chunk loop `rectangle_in` ran, with squared distances from
 |x|^2 + |y|^2 - 2 x.y; `least_pair` is the brute-force argmin of
 (*keys, i, j) over every pair i < j.  Tests compare the library against
@@ -68,14 +69,16 @@ def near_right_witness(cloud, k: int, l: int) -> RightAngleWitness:
     dists = np.linalg.norm(work - origin, axis=1)
     p_idx = int(np.argmax(dists))
     direction = (work[p_idx] - origin) / dists[p_idx]
-    proj = (work[core] - origin) @ direction
+    # the pair is chosen among the subset's points other than P
+    pool = [c for c in core if c != p_idx]
+    if len(pool) < 2:
+        raise TooFewPoints("the well-spread subset is too small to project")
+    proj = (work[pool] - origin) @ direction
     gaps = np.abs(proj[:, None] - proj[None, :])
-    spans = np.linalg.norm(work[core][:, None, :] - work[core][None, :, :], axis=2)
-    iu, ju = np.triu_indices(len(core), k=1)
+    spans = np.linalg.norm(work[pool][:, None, :] - work[pool][None, :, :], axis=2)
+    iu, ju = np.triu_indices(len(pool), k=1)
     flat = int(np.lexsort((ju, iu, spans[iu, ju], gaps[iu, ju]))[0])
-    q1_idx, q2_idx = core[int(iu[flat])], core[int(ju[flat])]
-    if q1_idx == p_idx:
-        q1_idx, q2_idx = q2_idx, q1_idx
+    q1_idx, q2_idx = pool[int(iu[flat])], pool[int(ju[flat])]
     apex = cloud.point(q1_idx)
     arm_p = cloud.point(p_idx)
     arm_q = cloud.point(q2_idx)

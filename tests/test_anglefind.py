@@ -227,10 +227,15 @@ def test_near_right_exact_right_angle():
 
 
 def test_near_right_collinear_reports_honest_90():
-    col = PointCloud([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    col = PointCloud([(float(x), 0.0) for x in range(5)])
     w = near_right_witness(col, 2, 1)
+    assert (w.triple.apex, w.triple.arm1, w.triple.arm2) == ((0.0, 0.0), (4.0, 0.0), (3.0, 0.0))
+    assert w.triple.angle == 0.0
     assert w.deviation == 90.0
-    assert w.triple.angle in (0.0, 180.0)
+    # the far point P is an arm, never the apex or the second arm; here the
+    # well-spread subset holds P and one other point, which makes no pair
+    with pytest.raises(TooFewPoints):
+        near_right_witness(PointCloud([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]), 2, 1)
 
 
 def test_near_right_grid_deviations():

@@ -15,7 +15,7 @@ import emit_oracle as oracle
 from anglelab.cli import _emit, main
 from anglelab.content import from_points
 from anglelab.dimension import _normalize_unit
-from anglelab.geom import ROW_BLOCK, PointCloud
+from anglelab.geom import ROW_BLOCK, PointCloud, _row_groups
 from anglelab.ifs import gasket_ifs, iterate_cloud
 
 SETTINGS = settings(
@@ -125,6 +125,30 @@ def test_duplicates_are_dropped_as_before(d, n, data):
     arr = np.array(rows, dtype=float).reshape(n, d)
     got = PointCloud(arr, dimension=d).points
     assert got.tobytes() == oracle.dedup(arr).tobytes()
+
+
+def row_groups_by_dict(arr: np.ndarray) -> tuple[list[int], list[bool]]:
+    """The rows grouped by a dict of tuples (0.0 and -0.0 hash alike),
+    groups in ascending row order, indices ascending in each group."""
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(arr.tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    order, new = [], []
+    for _, members in sorted(groups.items()):
+        order += members
+        new += [True] + [False] * (len(members) - 1)
+    return order, new
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(0, 40), st.booleans(), st.data())
+def test_row_groups_match_a_dict_of_rows(d, n, as_int, data):
+    value = st.integers(-3, 3) if as_int else COORDS
+    pool = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    arr = np.array(rows, dtype=np.int64 if as_int else float).reshape(n, d)
+    order, new = _row_groups(arr)
+    assert (order.tolist(), new.tolist()) == row_groups_by_dict(arr)
 
 
 def test_signed_zeros_are_one_point():

@@ -156,12 +156,25 @@ def test_cloud_empty_needs_dimension():
     c = PointCloud([], dimension=3)
     assert len(c) == 0
     assert c.dimension == 3
+    assert len(PointCloud(np.zeros((0, 0)), dimension=0)) == 0
 
 
 def test_cloud_points_read_only():
     c = PointCloud([[0.0, 1.0]])
     with pytest.raises(ValueError):
         c.points[0, 0] = 5.0
+
+
+def test_cloud_copies_its_input():
+    arr = np.array([[0.0, 1.0], [2.0, 3.0]])
+    c = PointCloud(arr)
+    assert arr.flags.writeable
+    arr[0, 0] = 5.0
+    assert c.point(0) == (0.0, 1.0)
+    base = np.array([[0.0, 1.0], [2.0, 3.0]])
+    view = PointCloud(base[:])
+    base[1, 1] = 7.0
+    assert view.point(1) == (2.0, 3.0)
 
 
 def test_cloud_json_round_trip():

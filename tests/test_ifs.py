@@ -9,8 +9,6 @@ from anglelab.errors import (
     AngleLabError,
     BudgetExceeded,
     DegenerateSystem,
-    DegenerateVector,
-    IdenticalCodes,
     InvalidArity,
     InvalidCode,
     InvalidDepth,
@@ -19,7 +17,7 @@ from anglelab.errors import (
     NotSeparated,
     SameIndex,
 )
-from anglelab.geom import AngleInterval, angle_at, line_pair_angle, regular_simplex
+from anglelab.geom import AngleInterval, regular_simplex
 from anglelab.ifs import (
     AvoidanceCertificate,
     Homothety,
@@ -29,7 +27,6 @@ from anglelab.ifs import (
     direction_deviation_bound,
     gasket_ifs,
     iterate_cloud,
-    parallel_pair_lift,
     rectangle_in,
     separation_gap,
     similarity_dimension,
@@ -232,76 +229,6 @@ def test_avoidance_certificate_monotone():
                 2, delta * 0.5, AngleInterval(center, radius)
             )
             assert smaller_w.certified and smaller_d.certified
-
-
-def test_parallel_pair_lift_strips_prefix():
-    ifs = gasket_ifs(2, 0.25)
-    verts = ifs.centers()
-    seeds = (tuple(verts[1]), tuple(verts[2]))
-    y0, y1, i, j = parallel_pair_lift(ifs, (0, 1), (0, 2), seeds)
-    assert (i, j) == (1, 2)
-    x0 = ifs.compose_word((0, 1)).apply(np.array(seeds[0]))
-    x1 = ifs.compose_word((0, 2)).apply(np.array(seeds[1]))
-    assert np.allclose(y0, ifs.maps[1].apply(np.array(seeds[0])))
-    assert line_pair_angle(x0, x1, y0, y1) < 1e-9
-
-
-def test_parallel_pair_lift_identity_prefix():
-    ifs = gasket_ifs(2, 0.25)
-    verts = ifs.centers()
-    seeds = (tuple(verts[0]), tuple(verts[0]))
-    y0, y1, i, j = parallel_pair_lift(ifs, (1,), (2,), seeds)
-    assert (i, j) == (1, 2)
-    assert np.allclose(y0, ifs.maps[1].apply(verts[0]))
-    assert np.allclose(y1, ifs.maps[2].apply(verts[0]))
-
-
-def test_parallel_pair_lift_deeper_prefix():
-    ifs = gasket_ifs(2, 0.25)
-    verts = ifs.centers()
-    seeds = (tuple(verts[0]), tuple(verts[0]))
-    _, _, i, j = parallel_pair_lift(ifs, (1, 1), (1, 2), seeds)
-    assert (i, j) == (1, 2)
-
-
-def test_parallel_pair_lift_random_direction_preserved():
-    rng = np.random.default_rng(41)
-    ifs = gasket_ifs(3, 0.2)
-    for _ in range(40):
-        depth = int(rng.integers(1, 5))
-        c0 = tuple(int(x) for x in rng.integers(0, 4, size=depth))
-        c1 = tuple(int(x) for x in rng.integers(0, 4, size=depth))
-        if c0 == c1:
-            continue
-        seeds = (tuple(rng.normal(size=3)), tuple(rng.normal(size=3)))
-        x0 = ifs.compose_word(c0).apply(np.array(seeds[0]))
-        x1 = ifs.compose_word(c1).apply(np.array(seeds[1]))
-        if np.linalg.norm(x0 - x1) < 1e-12:
-            continue
-        y0, y1, i, j = parallel_pair_lift(ifs, c0, c1, seeds)
-        assert i != j
-        assert line_pair_angle(x0, x1, y0, y1) < 1e-9
-
-
-def test_parallel_pair_lift_errors():
-    ifs = gasket_ifs(2, 0.25)
-    verts = ifs.centers()
-    seeds = (tuple(verts[0]), tuple(verts[1]))
-    with pytest.raises(IdenticalCodes):
-        parallel_pair_lift(ifs, (0, 1), (0, 1), seeds)
-    with pytest.raises(InvalidCode):
-        parallel_pair_lift(ifs, (0,), (0, 2), seeds)
-    with pytest.raises(InvalidCode):
-        parallel_pair_lift(ifs, (0, 7), (0, 2), seeds)
-    shared = HomotheticIFS(
-        [
-            Homothety((0.0, 0.0), 0.3),
-            Homothety((0.0, 0.0), 0.3),
-            Homothety((1.0, 0.0), 0.3),
-        ]
-    )
-    with pytest.raises(DegenerateVector):
-        parallel_pair_lift(shared, (0,), (1,), ((0.0, 0.0), (0.0, 0.0)))
 
 
 def test_rectangle_fixed_points_distinct():

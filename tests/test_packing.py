@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import pack_oracle as oracle
 from anglelab.anglefind import almost_regular_triangle, color_distances
 from anglelab.dimension import (
+    _blocks,
     _greedy_pack_indices,
     _normalize_unit,
     _well_spread_core,
@@ -68,6 +69,18 @@ def clouds(draw, max_points=60):
         return pts, 1.0
     low, high = math.log(positive.min() / 4), math.log(dists.max())
     return pts, math.exp(low + draw(st.integers(0, 8)) / 8 * (high - low))
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 50), max_size=40), st.integers(1, 60))
+def test_blocks_are_the_longest_prefixes_within_the_cap(counts, cap):
+    blocks = list(_blocks(np.array(counts, dtype=np.int64), cap))
+    assert [i for b in blocks for i in range(len(counts))[b]] == list(range(len(counts)))
+    for b in blocks:
+        total = sum(counts[b])
+        assert total <= cap or b.stop - b.start == 1
+        if b.stop < len(counts):
+            assert total + counts[b.stop] > cap
 
 
 @SETTINGS

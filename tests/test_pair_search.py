@@ -107,6 +107,14 @@ def near_right_cases(draw):
     return cloud, k, draw(st.integers(1, k - 1))
 
 
+@st.composite
+def small_random_cases(draw):
+    """Clouds where the farthest point often lies in the well-spread subset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cloud = PointCloud(rng.random((draw(st.integers(3, 29)), draw(st.integers(1, 3)))))
+    return cloud, *draw(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)]))
+
+
 def _outcome(search, cloud, k, l):
     try:
         return search(cloud, k, l)
@@ -118,6 +126,16 @@ def _outcome(search, cloud, k, l):
 @SETTINGS
 def test_near_right_witness_equals_the_all_pairs_selection(case):
     assert _outcome(near_right_witness, *case) == _outcome(oracle.near_right_witness, *case)
+
+
+@given(st.one_of(near_right_cases(), small_random_cases()))
+@SETTINGS
+def test_near_right_witness_has_three_distinct_points(case):
+    got = _outcome(near_right_witness, *case)
+    assert got == _outcome(oracle.near_right_witness, *case)
+    if not isinstance(got, tuple):
+        w = got.triple
+        assert w.apex != w.arm1 and w.apex != w.arm2 and w.arm1 != w.arm2
 
 
 def _rectangle_setup(ifs, f_index, g_index, depth):
