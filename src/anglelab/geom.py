@@ -319,7 +319,7 @@ class TripleWitness:
 
 def _witness_json(kind: str, points, metric: float, params: dict | None) -> dict:
     """The JSON payload of every witness: its kind, its points as lists,
-    the metric it is judged by and its parameters (none: {})."""
+    the metric it is judged by and its parameters ({} if there are none)."""
     return {
         "kind": kind,
         "points": [list(p) for p in points],

@@ -8,7 +8,7 @@ from argparse import Namespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import emit_oracle as oracle
@@ -140,13 +140,23 @@ def row_groups_by_dict(arr: np.ndarray) -> tuple[list[int], list[bool]]:
     return order, new
 
 
-@SETTINGS
-@given(st.integers(1, 4), st.integers(0, 40), st.booleans(), st.data())
-def test_row_groups_match_a_dict_of_rows(d, n, as_int, data):
+@st.composite
+def row_arrays(draw):
+    """Float rows (signed zeros among them) or int64 rows, many repeated."""
+    d, n, as_int = draw(st.integers(1, 4)), draw(st.integers(0, 40)), draw(st.booleans())
     value = st.integers(-3, 3) if as_int else COORDS
-    pool = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
-    rows = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    arr = np.array(rows, dtype=np.int64 if as_int else float).reshape(n, d)
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.int64 if as_int else float).reshape(n, d)
+
+
+@SETTINGS
+@given(row_arrays())
+@example(np.zeros((0, 2)))
+@example(np.zeros((0, 1), dtype=np.int64))
+@example(np.array([[-0.0, 1.0]]))
+@example(np.array([[3]]))
+def test_row_groups_match_a_dict_of_rows(arr):
     order, new = _row_groups(arr)
     assert (order.tolist(), new.tolist()) == row_groups_by_dict(arr)
 
