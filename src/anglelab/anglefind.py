@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dimension import _blocks, _normalize_unit, _well_spread_core
+from .dimension import _blocks, _dyadic_packings, _normalize_unit, _well_spread_core
 from .errors import (
     AngleLabError,
     InvalidArity,
@@ -28,9 +28,9 @@ from .geom import (
     _apex_pair_angles,
     _cloud_threshold,
     _projection_pair,
+    _triple_witness,
     _unit_angle,
     _witness_json,
-    angle_at,
 )
 
 # Finest scale tried when hunting the distance shell [a, 4a].
@@ -146,10 +146,11 @@ def almost_regular_triangle(
     triangle found is returned; same color forces the ratio bound.
     Returns None when the subset has no monochromatic triple.
 
-    The scan over k packs each scale once and stops after the first k
-    whose coarse packing keeps every point: every pairwise distance then
-    exceeds the bucket radius, so each later bucket is a single point.
-    When it reaches TRIANGLE_SCAN_MAX_K first, that name is appended to
+    The scan over k packs each scale once, the fine packing of one k
+    being the coarse one of the next, and stops after the first k whose
+    coarse packing keeps every point: each bucket is then a single point.
+    Its fine scale keeps every point too and is not packed.  When the
+    scan reaches TRIANGLE_SCAN_MAX_K first, that name is appended to
     `limits_hit`, if given.
     """
     if not (delta > 0.0):
@@ -159,14 +160,15 @@ def almost_regular_triangle(
     pts = _normalize_unit(cloud.points)
     best: list[int] = []
     best_k = 0
-    packings: dict[int, list[int]] = {}
-    for k in range(2, TRIANGLE_SCAN_MAX_K + 1):
-        core = _well_spread_core(pts, k, k - 1, packings)
+    packings = _dyadic_packings(pts, range(1, TRIANGLE_SCAN_MAX_K + 1))
+    _, coarse = next(packings)
+    for k, fine in packings:
+        core = _well_spread_core(pts, fine, coarse, k - 1)
         if len(core) > len(best):
-            best = core
-            best_k = k
-        if len(packings.pop(k - 1)) == len(pts):
+            best, best_k = core, k
+        if len(coarse) == len(pts):
             break
+        coarse = fine
     else:
         if limits_hit is not None:
             limits_hit.append("TRIANGLE_SCAN_MAX_K")
@@ -178,12 +180,8 @@ def almost_regular_triangle(
     triple = find_monochromatic_triangle(colors)
     if triple is None:
         return None
-    i, j, m = triple
-    vertices = (
-        cloud.point(best[i]),
-        cloud.point(best[j]),
-        cloud.point(best[m]),
-    )
+    i, j, _ = triple
+    vertices = tuple(cloud.point(best[t]) for t in triple)
     ratio = _side_ratio([np.asarray(p) for p in vertices])
     return TriangleWitness(vertices, ratio, int(colors[i, j]))
 
@@ -223,7 +221,8 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
         raise NoFarPoint("all points coincide; the diameter cannot be rescaled above 2")
     unit = (pts - lo) / extent
     work = unit * 4.0
-    core = _well_spread_core(unit, k, l)
+    (_, coarse), (_, fine) = _dyadic_packings(unit, (l, k))
+    core = _well_spread_core(unit, fine, coarse, l)
     origin = work[core[0]]
     dists = np.linalg.norm(work - origin, axis=1)
     p_idx = int(np.argmax(dists))
@@ -242,14 +241,9 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
         return np.abs(proj[i] - proj[j]), np.linalg.norm(chord, axis=1)
 
     i, j = _projection_pair(proj, keys, lambda gap: gap)
-    q1_idx, q2_idx = pool[i], pool[j]
-    apex = cloud.point(q1_idx)
-    arm_p = cloud.point(p_idx)
-    arm_q = cloud.point(q2_idx)
-    angle = angle_at(apex, arm_p, arm_q, threshold=_cloud_threshold(pts))
+    triple = _triple_witness(pts, pool[i], p_idx, pool[j], _cloud_threshold(pts))
     t_achieved = math.log2(len(core)) / (k - l)
-    triple = TripleWitness(apex, arm_p, arm_q, angle)
-    return RightAngleWitness(triple, abs(angle - 90.0), (int(k), int(l), t_achieved))
+    return RightAngleWitness(triple, abs(triple.angle - 90.0), (int(k), int(l), t_achieved))
 
 
 def near_extreme_witness(cloud: PointCloud, target: str) -> TripleWitness:
@@ -296,8 +290,7 @@ def near_extreme_witness(cloud: PointCloud, target: str) -> TripleWitness:
                 break
     if best is None:
         raise TooFewPoints("no apex has two distinct arms")
-    apex, p, q = (cloud.point(index) for index in best)
-    return TripleWitness(apex, p, q, angle_at(apex, p, q, threshold=threshold))
+    return _triple_witness(pts, *best, threshold)
 
 
 def _window_triples(
@@ -366,17 +359,15 @@ class ChainReport:
     limits_hit: tuple[str, ...] = ()
 
     def to_json_dict(self, params: dict | None = None) -> dict:
-        out = self.witness.to_json_dict("supplementary", params or {})
-        out["params"].update(
-            {
-                "steps": self.steps,
-                "achieved_gap": self.direction_gap,
-                "heuristic": True,
-            }
-        )
+        params = {
+            **(params or {}),
+            "steps": self.steps,
+            "achieved_gap": self.direction_gap,
+            "heuristic": True,
+        }
         if self.limits_hit:
-            out["params"]["limits_hit"] = list(self.limits_hit)
-        return out
+            params["limits_hit"] = list(self.limits_hit)
+        return self.witness.to_json_dict("supplementary", params)
 
 
 def _chain_from(
@@ -421,11 +412,7 @@ def _chain_from(
     if best_pair is None:
         return None
     a, b = best_pair
-    apex = tuple(float(x) for x in pts[triples[b][1]])
-    arm1 = tuple(float(x) for x in pts[triples[a][1]])
-    arm2 = tuple(float(x) for x in pts[triples[b][2]])
-    angle = angle_at(apex, arm1, arm2, threshold=threshold)
-    witness = TripleWitness(apex, arm1, arm2, angle)
+    witness = _triple_witness(pts, triples[b][1], triples[a][1], triples[b][2], threshold)
     return ChainReport(witness, len(triples), best_gap, (a, b))
 
 

@@ -36,6 +36,7 @@ from .geom import (
     _format_rows,
     _total_triples,
     _triple_angle_blocks,
+    _witness_json,
     # benchmarks/test_counters.py calls both through cli
     angle_spectrum,  # noqa: F401
     spectrum_hits,  # noqa: F401
@@ -247,7 +248,7 @@ def _cmd_triangle(args) -> int:
         params["limits_hit"] = limits_hit
     if witness is None:
         code, marks = 1, []
-        payload = {"kind": "triangle", "points": None, "metric": None, "params": params}
+        payload = _witness_json("triangle", None, None, params)
     else:
         code, marks = 0, list(witness.vertices)
         payload = witness.to_json_dict(params)

@@ -161,6 +161,23 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     return np.flatnonzero(kept).tolist()
 
 
+def _dyadic_packings(pts: np.ndarray, ks):
+    """Yield (k, kept) for increasing `ks`, `kept` being the packing at
+    radius 2^-k of `pts` in the unit cube.  Past the first packing that
+    keeps every point, that list is yielded again without packing: a
+    packing at k that keeps every point compared every pair whose cells
+    of side 2^(1-k) are within one on every axis, with a squared distance
+    above 4^(1-k).  The cells of side 2^(1-j) for j > k nest inside
+    those, because division by a power of two is exact, so each pair the
+    pass at j would compare was compared at k, and is farther apart than
+    its limit 4^(1-j) < 4^(1-k): the pass at j keeps every point too."""
+    kept = None
+    for k in ks:
+        if kept is None or len(kept) < len(pts):
+            kept = _greedy_pack_indices(pts, 2.0 ** (-k))
+        yield k, kept
+
+
 @dataclass(frozen=True)
 class PackingReport:
     """A maximal packing: centers with pairwise distance > 2*epsilon."""
@@ -223,15 +240,11 @@ def minkowski_dimension_estimate(
     if k_min >= k_max:
         raise InvalidScales("need k_min < k_max")
     pts = _normalize_unit(cloud.points)
-    n = pts.shape[0]
     scales = []
-    for k in range(k_min, k_max + 1):
-        count = len(_greedy_pack_indices(pts, 2.0 ** (-k)))
-        if count == n:
-            # every pairwise distance exceeds 2^(1-k), so each finer scale
-            # keeps all n points too
-            break
-        scales.append((k, count))
+    for k, kept in _dyadic_packings(pts, range(k_min, k_max + 1)):
+        if len(kept) == len(pts):
+            break  # each finer scale keeps every point too
+        scales.append((k, len(kept)))
     if len(scales) < 2:
         raise DegenerateRange("fewer than 2 scales below the cloud size")
     ks = np.array([k for k, _ in scales], dtype=float)
@@ -273,16 +286,15 @@ class WellSpreadResult:
 
 
 def _well_spread_core(
-    pts: np.ndarray, k: int, l: int, packings: dict[int, list[int]] | None = None
+    pts: np.ndarray, fine_idx: list[int], coarse_idx: list[int], l: int
 ) -> list[int]:
-    """Largest bucket of a 2^-k packing inside doubled 2^-l balls.
+    """Largest bucket of a fine packing inside the doubled 2^-l balls.
 
-    `pts` must already live in the unit cube.  Returns row indices of the
-    fine-packing points lying in the closed ball of radius 2^(-l+1)
-    around the coarse center owning the most of them (ties: lowest
-    center index).  `packings` maps a scale j to the indices of the 2^-j
-    packing of `pts`; a missing scale is packed and stored there, so a
-    scan over adjacent scales packs each scale once.
+    `pts` must already live in the unit cube, `fine_idx` and `coarse_idx`
+    are the indices of packings of `pts`, at radius 2^-k and 2^-l in the
+    two-packing construction.  Returns the fine indices lying in the
+    closed ball of radius 2^(-l+1) around the coarse center owning the
+    most of them (ties: the earliest center in `coarse_idx`).
 
     Buckets are counted by a cell join: each fine point is tested only
     against the coarse centers within one cell of its own on every axis,
@@ -292,11 +304,6 @@ def _well_spread_core(
     once the coordinate just below the radius is counted in cell 1 (its
     difference to twice the radius rounds to the radius itself).
     """
-    packings = {} if packings is None else packings
-    for j in (k, l):
-        if j not in packings:
-            packings[j] = _greedy_pack_indices(pts, 2.0 ** (-j))
-    fine_idx, coarse_idx = packings[k], packings[l]
     fine, centers = pts[fine_idx], pts[coarse_idx]
     radius = 2.0 ** (-l + 1)
     limit = radius * radius
@@ -331,7 +338,8 @@ def well_spread_subset(
     if not (t > 0.0):
         raise InvalidScales("exponent t must be positive")
     pts = _normalize_unit(cloud.points)
-    core = pts[_well_spread_core(pts, k, l)]
+    (_, coarse), (_, fine) = _dyadic_packings(pts, (l, k))
+    core = pts[_well_spread_core(pts, fine, coarse, l)]
     return WellSpreadResult(
         tuple(tuple(float(x) for x in p) for p in core), int(k), int(l), float(t)
     )

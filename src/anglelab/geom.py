@@ -204,7 +204,7 @@ class PointCloud:
         return "".join(_format_rows(self._pts, ",".join(["%s"] * self.dimension) + "\n", ""))
 
     @classmethod
-    def from_csv(cls, text: str, label: str | None = None) -> "PointCloud":
+    def from_csv(cls, text: str) -> "PointCloud":
         rows = []
         for line in text.splitlines():
             line = line.strip()
@@ -217,7 +217,7 @@ class PointCloud:
         for row in rows:
             if len(row) != width:
                 raise DimensionMismatch("CSV rows have inconsistent widths")
-        return cls(rows, label=label)
+        return cls(rows)
 
     def __repr__(self) -> str:
         return f"PointCloud(n={len(self)}, d={self.dimension}, label={self.label!r})"
@@ -296,10 +296,6 @@ class AngleInterval:
     def contains_open(self, angle: float) -> bool:
         return self.lo < angle < self.hi
 
-    def overlaps_closed(self, lo: float, hi: float) -> bool:
-        """Whether the closed window [lo_self, hi_self] meets [lo, hi]."""
-        return not (self.hi < lo or hi < self.lo)
-
 
 @dataclass(frozen=True)
 class TripleWitness:
@@ -317,14 +313,23 @@ class TripleWitness:
         return _witness_json(kind, (self.apex, self.arm1, self.arm2), self.angle, params)
 
 
-def _witness_json(kind: str, points, metric: float, params: dict | None) -> dict:
-    """The JSON payload of every witness: its kind, its points as lists,
-    the metric it is judged by and its parameters ({} if there are none)."""
+def _triple_witness(
+    pts: np.ndarray, apex: int, p: int, q: int, threshold: float = DEGENERACY_ABS
+) -> TripleWitness:
+    """The witness of rows apex, p and q of `pts`, as the floats of
+    `PointCloud.point`, with its angle measured by `angle_at`."""
+    a, u, v = (tuple(pts[i].tolist()) for i in (apex, p, q))
+    return TripleWitness(a, u, v, angle_at(a, u, v, threshold=threshold))
+
+
+def _witness_json(kind: str, points, metric: float | None, params: dict | None) -> dict:
+    """The JSON payload of every witness: its kind, its points as lists (or
+    None), the metric it is judged by and a copy of its parameters or {}."""
     return {
         "kind": kind,
-        "points": [list(p) for p in points],
+        "points": None if points is None else [list(p) for p in points],
         "metric": metric,
-        "params": params or {},
+        "params": dict(params or {}),
     }
 
 
@@ -495,8 +500,7 @@ def _block_hit(cloud: PointCloud, block, window: AngleInterval) -> Optional[Trip
     if not hit.any():
         return None
     t = int(np.argmax(hit))
-    apex, p, q = (cloud.point(int(index[t])) for index in triple)
-    return TripleWitness(apex, p, q, angle_at(apex, p, q))
+    return _triple_witness(cloud.points, *(int(index[t]) for index in triple))
 
 
 def angle_spectrum(

@@ -164,7 +164,6 @@ def iterate_cloud(
     depth: int,
     seeds,
     budget: int = DEFAULT_POINT_BUDGET,
-    label: str | None = None,
 ) -> PointCloud:
     """All images of the seeds under every depth-long composition.
 
@@ -197,7 +196,7 @@ def iterate_cloud(
     pts = (
         scale[:, None, None] * seeds[None, :, :] + shift[:, None, :]
     ).reshape(-1, ifs.dimension)
-    return PointCloud(pts, label=label)
+    return PointCloud(pts)
 
 
 def separation_gap(ifs: HomotheticIFS) -> float:

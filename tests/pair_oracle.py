@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from anglelab.anglefind import RightAngleWitness
-from anglelab.dimension import _well_spread_core
+from anglelab.dimension import _greedy_pack_indices, _well_spread_core
 from anglelab.errors import InvalidScales, NoFarPoint, TooFewPoints
 from anglelab.geom import TripleWitness, _cloud_threshold, angle_at
 
@@ -62,7 +62,8 @@ def near_right_witness(cloud, k: int, l: int) -> RightAngleWitness:
         raise NoFarPoint("all points coincide; the diameter cannot be rescaled above 2")
     unit = (pts - lo) / extent
     work = unit * 4.0
-    core = _well_spread_core(unit, k, l)
+    fine, coarse = (_greedy_pack_indices(unit, 2.0**-j) for j in (k, l))
+    core = _well_spread_core(unit, fine, coarse, l)
     if len(core) < 2:
         raise TooFewPoints("the well-spread subset is too small to project")
     origin = work[core[0]]

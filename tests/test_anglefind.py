@@ -27,6 +27,7 @@ from anglelab.errors import (
     TooFewPoints,
 )
 from anglelab.geom import _apex_pair_angles, _cloud_threshold, angle_at, regular_simplex
+from anglelab.ifs import RectangleWitness
 
 
 def unit_grid(n: int) -> PointCloud:
@@ -414,6 +415,27 @@ def test_chain_json_shape():
     assert out["params"]["steps"] == 3
     assert out["params"]["achieved_gap"] == report.direction_gap
     assert out["metric"] == report.witness.angle
+
+
+def test_witness_payloads_copy_their_params():
+    report = supplementary_chain_report(unit_grid(64), 60.0, 2.0, 0.25, 12)
+    params = {"alpha": 60.0}
+    out = report.to_json_dict(params)
+    assert params == {"alpha": 60.0}
+    assert list(out["params"].items()) == [
+        ("alpha", 60.0),
+        ("steps", 3),
+        ("achieved_gap", report.direction_gap),
+        ("heuristic", True),
+        ("limits_hit", ["CHAIN_ARM_CAP", "CHAIN_START_CAP"]),
+    ]
+    corners = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    for out in (
+        report.witness.to_json_dict("supplementary", params),
+        RectangleWitness(corners, 0.0).to_json_dict(params),
+    ):
+        assert out["params"] == params
+        assert out["params"] is not params
 
 
 def triangular_lattice(side: int) -> list:

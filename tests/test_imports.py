@@ -1,8 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+definition of the package goes unused.
 
-No linter is a dependency, so this is the one check of it: a name bound by
-an import must be read somewhere in its module.  Names listed in the
-module's `__all__` and imports on a line marked `# noqa: F401` are exempt.
+No linter is a dependency, so these are the one check of each.  A name
+bound by an import must be read somewhere in its module; names listed in
+the module's `__all__` and imports on a line marked `# noqa: F401` are
+exempt.  A function, method or class defined in the package must be named
+somewhere in the package, the tests or the benchmarks besides its own
+definition; dunder names are exempt.
 """
 
 import ast
@@ -13,6 +17,8 @@ import pytest
 import anglelab
 
 MODULES = sorted(Path(anglelab.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = [p for part in ("src", "tests", "benchmarks") for p in sorted((ROOT / part).rglob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +54,47 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """The names a source reads, imports or writes as a string constant,
+    as `getattr` and the benchmark's hooks name them."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unused_definitions(package: list[str], others: list[str]) -> list[str]:
+    """Names defined in the `package` sources that no source refers to."""
+    trees = [ast.parse(source) for source in package]
+    defined = {node.name for tree in trees for node in ast.walk(tree) if isinstance(node, DEFINITIONS)}
+    used = set().union(*(_references(tree) for tree in trees + [ast.parse(s) for s in others]))
+    return sorted(n for n in defined - used if not (n.startswith("__") and n.endswith("__")))
+
+
+def test_the_check_finds_an_unused_definition():
+    package = (
+        "class A:\n    def __init__(self): pass\n    def m(self): pass\n    def n(self): pass\n"
+        "def f(): return A().m()\ndef g(): pass\ndef h(): pass\n"
+    )
+    assert unused_definitions([package], []) == ["f", "g", "h", "n"]
+    others = "from pkg import f as run\nrun(); getattr(object, 'g')\nclass Z:\n    def h(self): pass\n"
+    assert unused_definitions([package], [others]) == ["h", "n"]
+
+
+def test_every_definition_is_used():
+    package = [p.read_text() for p in MODULES]
+    package_paths = {p.resolve() for p in MODULES}
+    others = [p.read_text() for p in SOURCES if p not in package_paths]
+    assert unused_definitions(package, others) == []

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pack_oracle as oracle
-from anglelab.anglefind import almost_regular_triangle, color_distances
+from anglelab import dimension
+from anglelab.anglefind import TRIANGLE_SCAN_MAX_K, almost_regular_triangle, color_distances
 from anglelab.dimension import (
     _blocks,
+    _dyadic_packings,
     _greedy_pack_indices,
     _normalize_unit,
     _well_spread_core,
@@ -232,15 +235,12 @@ _UNIFORM_3D = _normalize_unit(np.random.default_rng(3).random((1000, 3)))
 def test_well_spread_core_is_the_loop(case):
     pts, k, l = case
     assert np.array_equal(_normalize_unit(pts), pts)
-    want = oracle.well_spread_core(pts, k, l)
-    assert _well_spread_core(pts, k, l) == want
-    packings = {k: oracle.greedy_pack_indices(pts, 2.0**-k)}
-    assert _well_spread_core(pts, k, l, packings) == want
-    assert packings[l] == oracle.greedy_pack_indices(pts, 2.0**-l)
-    # both scales prefilled: the stored packings are used as they are
-    assert _well_spread_core(pts, k, l, packings) == want
-    assert _well_spread_core(pts, k, l, {k: packings[k], l: packings[l][::-1]}) == (
-        oracle.well_spread_core_of(pts, packings[k], packings[l][::-1], l)
+    fine, coarse = (oracle.greedy_pack_indices(pts, 2.0**-j) for j in (k, l))
+    assert [kept for _, kept in _dyadic_packings(pts, (l, k))] == [coarse, fine]
+    assert _well_spread_core(pts, fine, coarse, l) == oracle.well_spread_core(pts, k, l)
+    # the coarse centers in another order: ties go to the earliest listed
+    assert _well_spread_core(pts, fine, coarse[::-1], l) == (
+        oracle.well_spread_core_of(pts, fine, coarse[::-1], l)
     )
 
 
@@ -253,11 +253,39 @@ def test_well_spread_bucket_count_memory_is_one_pair_block():
     assert len(packings[5]) * len(packings[7]) > 2_000_000
     tracemalloc.start()
     try:
-        _well_spread_core(pts, 7, 5, packings)
+        _well_spread_core(pts, packings[7], packings[5], 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def _first_saturated_scale(pts: np.ndarray, stop: int) -> int:
+    """The first k >= 1 whose loop packing keeps every point, or `stop`."""
+    return next(
+        (k for k in range(1, stop) if len(oracle.greedy_pack_indices(pts, 2.0**-k)) == len(pts)),
+        stop,
+    )
+
+
+def _check_triangle_scan(cloud: PointCloud, delta: float) -> None:
+    """The witness is the full scan's, and the scales 1..min(s, 40) are
+    packed once each, for the first scale s that keeps every point."""
+    packed = []
+
+    def counted(pts, epsilon):
+        packed.append(-math.log2(epsilon))
+        return _greedy_pack_indices(pts, epsilon)
+
+    limits: list[str] = []
+    with mock.patch.object(dimension, "_greedy_pack_indices", counted):
+        got = almost_regular_triangle(cloud, delta, limits)
+    assert got == oracle.almost_regular_triangle(cloud, delta)
+    s = _first_saturated_scale(_normalize_unit(cloud.points), TRIANGLE_SCAN_MAX_K + 1)
+    assert packed == list(range(1, min(s, TRIANGLE_SCAN_MAX_K) + 1))
+    # the cap binds exactly when the coarse packing of the last scale
+    # still merges two points
+    assert limits == (["TRIANGLE_SCAN_MAX_K"] if s >= TRIANGLE_SCAN_MAX_K else [])
 
 
 @settings(SETTINGS, max_examples=60)
@@ -269,13 +297,38 @@ def test_triangle_witness_is_the_full_scan(case, delta):
     cloud = PointCloud(pts)
     if len(cloud) < 3:
         return
-    limits: list[str] = []
-    assert almost_regular_triangle(cloud, delta, limits) == oracle.almost_regular_triangle(cloud, delta)
-    # the cap binds exactly when the coarse packing of the last scale
-    # still merges two points
-    unit = _normalize_unit(cloud.points)
-    capped = len(oracle.greedy_pack_indices(unit, 2.0**-39)) < len(unit)
-    assert limits == (["TRIANGLE_SCAN_MAX_K"] if capped else [])
+    _check_triangle_scan(cloud, delta)
+
+
+@pytest.mark.parametrize(
+    "points, s",
+    [
+        # edges of length sqrt(2) > 1: the first scale keeps every point
+        ([[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]], 1),
+        # the closest pair is 1.5 * 2^(1-s) apart
+        ([[0, 0], [1, 0], [0, 1], [1.5 * 2.0**-37, 0]], 38),
+        ([[0, 0], [1, 0], [0, 1], [1.5 * 2.0**-38, 0]], 39),
+        ([[0, 0], [1, 0], [0, 1], [1.5 * 2.0**-39, 0]], 40),
+        # no scale the scan reaches keeps every point
+        ([[0, 0], [1, 0], [0, 1], [1.5 * 2.0**-60, 0]], 61),
+        # the cloud of the benchmark's packing-count test
+        (np.random.default_rng(5).random((500, 2)), 11),
+    ],
+)
+def test_triangle_packs_each_scale_once(points, s):
+    cloud = PointCloud(points)
+    assert _first_saturated_scale(_normalize_unit(cloud.points), 62) == s
+    _check_triangle_scan(cloud, 0.3)
+
+
+@SETTINGS
+@given(clouds(max_points=40))
+def test_a_packing_that_keeps_every_point_keeps_it_at_finer_scales(case):
+    # the fact _dyadic_packings relies on, for the loop itself
+    pts = _normalize_unit(case[0])
+    s = _first_saturated_scale(pts, 64)
+    for k in range(s + 1, min(s + 4, 64)):
+        assert len(oracle.greedy_pack_indices(pts, 2.0**-k)) == len(pts)
 
 
 @SETTINGS
