@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"anglelab: budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (AngleLabError, OSError, KeyError, ValueError) as exc:
+    except (AngleLabError, OSError, KeyError, ValueError, RecursionError) as exc:
         print(f"anglelab: invalid input: {exc}", file=sys.stderr)
         return 2
 

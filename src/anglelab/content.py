@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -19,10 +20,13 @@ from .errors import (
     InvalidDepth,
     InvalidDimension,
 )
-from .geom import PointCloud, _first_rows, _json_int
+from .geom import PointCloud, _first_rows, _json_int, _json_rows
 
 # Cap on 2^(levels * dimension), the number of cells a full grid would hold.
 DEFAULT_CELL_BUDGET = 2_000_000
+
+# The deepest grid level: its cell indices all fit the tree's int64 rows.
+MAX_LEVELS = 63
 
 Cell = tuple[int, ...]
 Cube = tuple[int, Cell]
@@ -43,16 +47,18 @@ class DyadicGrid:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise InvalidDimension("grid dimension must be at least 1")
-        if self.levels < 0:
-            raise InvalidDepth("grid level count must be non-negative")
-        side = 1 << self.levels
-        for cell in self.occupied:
-            if len(cell) != self.dimension:
-                raise InvalidDimension(
-                    f"cell {cell} does not have {self.dimension} coordinates"
-                )
-            if not all(isinstance(c, int) and 0 <= c < side for c in cell):
-                raise AngleLabError(f"cell {cell} is outside [0, 2^{self.levels})^d")
+        if not 0 <= self.levels <= MAX_LEVELS:
+            raise InvalidDepth(f"grid level count must lie in [0, {MAX_LEVELS}]")
+        # one pass in C per rule; booleans are not cell indices
+        cells = self.occupied
+        if not set(map(len, cells)) <= {self.dimension}:
+            raise InvalidDimension(f"cells must have {self.dimension} coordinates")
+        if not set(map(type, chain.from_iterable(cells))) <= {int}:
+            raise AngleLabError("cell coordinates must be integers")
+        low = min(chain.from_iterable(cells), default=0)
+        high = max(chain.from_iterable(cells), default=0)
+        if low < 0 or high >= 1 << self.levels:
+            raise AngleLabError(f"cells must lie in [0, 2^{self.levels})^d")
 
     def __len__(self) -> int:
         return len(self.occupied)
@@ -72,14 +78,9 @@ class DyadicGrid:
     def from_json_dict(cls, data: dict) -> "DyadicGrid":
         if not isinstance(data, dict) or not {"dimension", "levels", "occupied"} <= data.keys():
             raise AngleLabError("grid JSON needs 'dimension', 'levels' and 'occupied'")
-        cells = data["occupied"]
-        if not isinstance(cells, list) or not all(
-            isinstance(cell, list) and all(type(c) is int for c in cell) for cell in cells
-        ):
-            raise AngleLabError("grid JSON 'occupied' must be a list of integer coordinate lists")
-        return cls(
-            _json_int(data, "dimension"), _json_int(data, "levels"), frozenset(map(tuple, cells))
-        )
+        d = _json_int(data, "dimension")
+        cells = _json_rows(data, "grid", "occupied", d, {int})
+        return cls(d, _json_int(data, "levels"), frozenset(map(tuple, cells)))
 
 
 def from_points(

@@ -184,15 +184,7 @@ class PointCloud:
         if not isinstance(data, dict) or "dimension" not in data or "points" not in data:
             raise DimensionMismatch("cloud JSON needs 'dimension' and 'points'")
         d = _json_int(data, "dimension")
-        rows = data["points"]
-        if type(rows) is not list or not set(map(type, rows)) <= {list}:
-            raise DimensionMismatch("cloud JSON 'points' must be a list of coordinate lists")
-        if not set(map(len, rows)) <= {d}:
-            raise DimensionMismatch("point length disagrees with declared dimension")
-        # one pass over the coordinates in C: strings, booleans and null
-        # would otherwise be read as floats
-        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-            raise AngleLabError("cloud JSON coordinates must be JSON numbers")
+        rows = _json_rows(data, "cloud", "points", d, {int, float})
         try:
             pts = np.fromiter(chain.from_iterable(rows), float, count=len(rows) * d)
         except OverflowError:  # an integer beyond the float range
@@ -205,18 +197,15 @@ class PointCloud:
 
     @classmethod
     def from_csv(cls, text: str) -> "PointCloud":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
+        rows = [
+            [float(tok) for tok in line.split(",")]
+            for line in map(str.strip, text.splitlines())
+            if line
+        ]
         if not rows:
             raise EmptyCloud("no points in CSV input")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise DimensionMismatch("CSV rows have inconsistent widths")
+        if len(set(map(len, rows))) > 1:
+            raise DimensionMismatch("CSV rows have inconsistent widths")
         return cls(rows)
 
     def __repr__(self) -> str:
@@ -249,6 +238,25 @@ def _json_int(data: dict, key: str) -> int:
     if type(value) is not int:
         raise AngleLabError(f"JSON '{key}' must be an integer, not {value!r}")
     return value
+
+
+def _json_rows(data: dict, kind: str, key: str, d: int, types: set[type]) -> list:
+    """data[key] if it is a list of lists, each `d` long, of values whose
+    type is in `types`: JSON numbers {int, float} or integers {int}.
+
+    Each rule is one pass in C.  Checking types exactly rejects strings,
+    booleans and null, which would otherwise be read as numbers.
+    """
+    rows = data[key]
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise DimensionMismatch(f"{kind} JSON '{key}' must be a list of coordinate lists")
+    if not set(map(len, rows)) <= {d}:
+        raise DimensionMismatch("point length disagrees with declared dimension")
+    if not set(map(type, chain.from_iterable(rows))) <= types:
+        raise AngleLabError(
+            f"{kind} JSON coordinates must be JSON {'numbers' if float in types else 'integers'}"
+        )
+    return rows
 
 
 def _row_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

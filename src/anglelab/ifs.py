@@ -33,7 +33,6 @@ from .geom import (
     AngleInterval,
     PointCloud,
     Point,
-    _json_int,
     _projection_pair,
     _witness_json,
     line_pair_angle,
@@ -85,9 +84,6 @@ class Homothety:
         b = self.ratio * other.offset + self.offset
         return Homothety(tuple(b / (1.0 - r)), r)
 
-    def to_json_dict(self) -> dict:
-        return {"center": [float(x) for x in self.center], "ratio": self.ratio}
-
 
 class HomotheticIFS:
     """A finite list of homotheties in a common dimension."""
@@ -112,22 +108,6 @@ class HomotheticIFS:
 
     def centers(self) -> np.ndarray:
         return np.array([h.center for h in self.maps], dtype=float)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "maps": [h.to_json_dict() for h in self.maps],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HomotheticIFS":
-        if not isinstance(data, dict) or "maps" not in data:
-            raise DimensionMismatch("IFS JSON needs a 'maps' list")
-        maps = [Homothety(tuple(m["center"]), float(m["ratio"])) for m in data["maps"]]
-        ifs = cls(maps)
-        if "dimension" in data and _json_int(data, "dimension") != ifs.dimension:
-            raise DimensionMismatch("declared dimension disagrees with the maps")
-        return ifs
 
     def __repr__(self) -> str:
         return f"HomotheticIFS(m={len(self.maps)}, d={self.dimension})"

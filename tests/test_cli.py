@@ -22,8 +22,9 @@ EQ_CLOUD = {
 
 
 def write_cloud(tmp_path, data, name="cloud.json"):
+    """Write `data` as JSON; a string is written as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -401,6 +402,9 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
@@ -420,6 +424,13 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         ("content", {"dimension": 2.5, "levels": 2, "occupied": [[0, 1]]}),
         ("content", {"dimension": 2, "levels": True, "occupied": [[0, 1]]}),
         ("content", {"dimension": 2, "levels": 2.5, "occupied": [[0, 1]]}),
+        ("content", {"dimension": 1, "levels": 70, "occupied": [[2**65]]}),
+        ("content", {"dimension": 1, "levels": 10_000_000, "occupied": [[0]]}),
+        # nested deeper than the recursion limit, which json.dump cannot write
+        pytest.param("spectrum", '{"dimension": 2, "points": %s}' % NESTED, id="spectrum-nested"),
+        pytest.param(
+            "content", '{"dimension": 2, "levels": 2, "occupied": %s}' % NESTED, id="content-nested"
+        ),
     ],
 )
 def test_malformed_json_input_exits_2(capsys, tmp_path, command, data):

@@ -75,6 +75,10 @@ def test_grid_validates_cells():
         DyadicGrid(0, 2, frozenset())
     with pytest.raises(InvalidDepth):
         DyadicGrid(2, -1, frozenset())
+    with pytest.raises(InvalidDepth):
+        DyadicGrid(1, 64, frozenset())
+    with pytest.raises(AngleLabError):
+        DyadicGrid(2, 2, frozenset([(True, 0)]))
 
 
 def test_grid_json_round_trip():

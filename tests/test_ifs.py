@@ -66,22 +66,6 @@ def test_ifs_needs_two_maps_and_distinct_centers():
         HomotheticIFS([h, Homothety((0.0, 0.0), 0.4)])
 
 
-def test_ifs_json_round_trip():
-    ifs = gasket_ifs(3, 0.2)
-    back = HomotheticIFS.from_json_dict(ifs.to_json_dict())
-    assert back.dimension == 3
-    assert all(a.center == b.center and a.ratio == b.ratio for a, b in zip(back.maps, ifs.maps))
-
-
-@pytest.mark.parametrize("dimension", [None, 3.0, 3.5, True, "3"])
-def test_ifs_json_dimension_must_be_an_integer(dimension):
-    data = {**gasket_ifs(3, 0.2).to_json_dict(), "dimension": dimension}
-    with pytest.raises(AngleLabError, match="must be an integer"):
-        HomotheticIFS.from_json_dict(data)
-    del data["dimension"]
-    assert HomotheticIFS.from_json_dict(data).dimension == 3
-
-
 def test_gasket_shape():
     ifs = gasket_ifs(2, 0.25)
     assert len(ifs.maps) == 3

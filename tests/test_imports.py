@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no
-definition of the package goes unused.
+"""No module of the package imports a name it never uses, no definition
+of the package goes unused, and the names the benchmark's tracer looks up
+stay as it expects.
 
 No linter is a dependency, so these are the one check of each.  A name
 bound by an import must be read somewhere in its module; names listed in
@@ -10,11 +11,14 @@ definition; dunder names are exempt.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import anglelab
+from anglelab import cli
 
 MODULES = sorted(Path(anglelab.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,3 +102,45 @@ def test_every_definition_is_used():
     package_paths = {p.resolve() for p in MODULES}
     others = [p.read_text() for p in SOURCES if p not in package_paths]
     assert unused_definitions(package, others) == []
+
+
+def _tracer_hooks() -> tuple[tuple[str, str], ...]:
+    """`HOOKS` of benchmarks/tracing.py, read without running the benchmark."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmarks/tracing.py defines no HOOKS")
+
+
+def test_every_tracer_hook_is_a_function_of_the_package():
+    # the tracer skips a hook it cannot find and only counts it as missing
+    missing = [
+        f"{module}.{name}"
+        for module, name in _tracer_hooks()
+        if not inspect.isfunction(getattr(importlib.import_module(f"anglelab.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_cli_imports_only_the_known_private_library_names():
+    # the tracer wraps every library function cli imports, so a new private
+    # import adds a span to every traced call of it
+    private = {
+        name
+        for name, value in vars(cli).items()
+        if inspect.isfunction(value)
+        and value.__module__.startswith("anglelab.")
+        and value.__module__ != cli.__name__
+        and name.startswith("_")
+    }
+    assert private == {
+        "_normalize_unit",
+        "_block_hit",
+        "_format_rows",
+        "_total_triples",
+        "_triple_angle_blocks",
+        "_witness_json",
+    }
