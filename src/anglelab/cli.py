@@ -1,9 +1,4 @@
-"""Command-line front end: reproducible experiments over clouds and grids.
-
-Exit codes: 0 = witness found / certificate positive; 1 = no witness or
-negative certificate; 2 = invalid input; 3 = computation budget exceeded.
-Identical invocations produce byte-identical JSON and CSV output.
-"""
+"""Command-line front end; the README lists its subcommands and exit codes."""
 
 from __future__ import annotations
 
@@ -128,44 +123,59 @@ def _ring_segments(points: list) -> list:
     return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
 
-def _json_text(payload: dict):
-    """Yield the parts of `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`,
-    byte for byte.
+def _holds_array(value) -> bool:
+    """Whether `value` is an array (an ndarray with an axis, or a nonempty
+    tuple of them) or a dict with one below it."""
+    if isinstance(value, dict):
+        return any(map(_holds_array, value.values()))
+    parts = value if isinstance(value, tuple) else (value,)
+    return bool(parts) and all(isinstance(a, np.ndarray) and a.ndim for a in parts)
 
-    Each top-level value is dumped on its own and indented one more level;
-    a JSON string holds no raw newline, so the replace touches only layout.
-    A nonempty int or float ndarray value must be a finite (n, d) array,
-    such as a cloud's points or a grid's cells: `_format_rows` writes its
-    rows, formatting each distinct value once, in parts of at most
-    `geom.ROW_BLOCK` rows, so the whole text is never held at once.
+
+def _json_text(payload, pad: str = "\n"):
+    """Yield the parts of `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`.
+
+    An array stands for its `tolist()`; a tuple of arrays of n rows, all
+    of one dtype, for the n lists of their rows.  A dict with an array
+    below it is written key by key, indented by `pad`; any other value is
+    one `json.dumps`, indented by replacing newlines (JSON strings hold
+    none).  Int and float arrays go through `_format_rows`, with json's
+    layout of a zero row.
     """
-    if not payload:
-        yield "{}\n"
-        return
-    lead = "{\n  "
-    for key in sorted(payload):
-        value = payload[key]
-        yield lead + json.dumps(key) + ": "
-        lead = ",\n  "
-        if isinstance(value, np.ndarray) and value.size and value.dtype.kind in "fi":
-            yield "[\n    "
-            row = "[\n      " + ",\n      ".join(["%s"] * value.shape[1]) + "\n    ]"
-            yield from _format_rows(value, row, ",\n    ")
-            yield "\n  ]"
-        else:
-            if isinstance(value, np.ndarray):  # an empty, bool or object one
-                value = value.tolist()
-            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-    yield "\n}\n"
+    inner = pad + "  "
+    if not _holds_array(payload):
+        yield json.dumps(payload, sort_keys=True, indent=2).replace("\n", pad)
+    elif isinstance(payload, dict):
+        lead = "{" + inner
+        for key in sorted(payload):
+            yield lead + json.dumps(key) + ": "
+            lead = "," + inner
+            yield from _json_text(payload[key], inner)
+        yield pad + "}"
+    else:
+        one = not isinstance(payload, tuple)
+        parts = (payload,) if one else payload
+        if all(a.size and a.dtype.kind in "fi" for a in parts):
+            rows = [a.reshape(len(a), -1) for a in parts]
+            rows = rows[0] if one else np.concatenate(rows, axis=1)
+            example = [np.zeros(a.shape[1:], int).tolist() for a in parts]
+            row = json.dumps(example[0] if one else example, indent=2)
+            yield "[" + inner
+            yield from _format_rows(rows, row.replace("0", "%s").replace("\n", inner), "," + inner)
+            yield pad + "]"
+        else:  # empty, bool or object
+            plain = [a.tolist() for a in parts]
+            plain = plain[0] if one else list(zip(*plain))
+            yield json.dumps(plain, sort_keys=True, indent=2).replace("\n", pad)
+    if pad == "\n":
+        yield "\n"
 
 
 def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
     """Write the payload in the requested format and return the exit code.
 
-    `plot` is called only for svg output; it returns the cloud, the
-    witness points to highlight and the segments to draw.  `csv` is
-    called only for csv output and returns the text.  JSON is written
-    part by part as `_json_text` yields it; `--out` is closed on return.
+    `plot` (svg only) returns the cloud, the witness points to highlight
+    and the segments to draw; `csv` (csv only) returns the text.
     """
     if args.format == "json":
         parts = _json_text(payload)
@@ -290,20 +300,31 @@ def _cmd_rectangle(args) -> int:
     return _emit(args, 0, witness.to_json_dict(params), plot)
 
 
+def _grid_json(grid: DyadicGrid) -> dict:
+    """The layout of grid.to_json_dict(), with the cells left as an array."""
+    return {"dimension": grid.dimension, "levels": grid.levels, "occupied": grid.cell_rows()}
+
+
 def _cmd_content(args) -> int:
     grid = _load_grid(args.grid)
     result = dyadic_content(grid, args.s)
-    return _emit(args, 0, result.to_json_dict())
+    # the layout of result.to_json_dict(), with the cover as level and cell arrays
+    levels = np.array([level for level, _ in result.cover], dtype=np.int64)
+    cells = np.array([idx for _, idx in result.cover], dtype=np.int64)
+    cover = (levels, cells.reshape(-1, grid.dimension))
+    return _emit(args, 0, {"value": result.value, "exponent": result.exponent, "cover": cover})
 
 
 def _cmd_zoom(args) -> int:
     grid = _load_grid(args.grid)
     result = microset_zoom(grid, args.s, args.delta)
-    payload = result.to_json_dict()
-    payload["params"] = {
-        "s": args.s,
-        "delta": args.delta,
-        "threshold": 2.0 ** (-args.s - 2.0),
+    # the layout of result.to_json_dict(), with the rescaled cells left as an array
+    payload = {
+        "cube": [result.cube[0], list(result.cube[1])],
+        "normalized_content": result.normalized_content,
+        "passes_claim": result.passes_claim,
+        "rescaled": _grid_json(result.rescaled),
+        "params": {"s": args.s, "delta": args.delta, "threshold": 2.0 ** (-args.s - 2.0)},
     }
     return _emit(args, 0 if result.passes_claim else 1, payload)
 
@@ -312,10 +333,7 @@ def _cmd_rasterize(args) -> int:
     cloud = _load_cloud(args.cloud)
     if args.normalize:
         cloud = PointCloud(_normalize_unit(cloud.points))
-    grid = from_points(cloud, args.m, budget=args.budget)
-    # the layout of grid.to_json_dict(), with the cells left as an array
-    payload = {"dimension": grid.dimension, "levels": grid.levels, "occupied": grid.cell_rows()}
-    return _emit(args, 0, payload)
+    return _emit(args, 0, _grid_json(from_points(cloud, args.m, budget=args.budget)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,11 +72,9 @@ def angle_at(apex, p, q, threshold: float = DEGENERACY_ABS) -> float:
 def line_pair_angle(a, b, c, d) -> float:
     """Angle in [0, 90] degrees between the lines through (a,b) and (c,d).
 
-    Orientation of either segment is ignored, so the result is exactly
-    invariant under swapping a with b, c with d, or the two pairs.
-    Evaluated as 2*atan2(|u-w|, |u+w|) on unit vectors with w oriented
-    along u, which keeps full precision near 0 and 90 where the plain
-    arccos of the inner product loses half the significant digits.
+    Exactly invariant under swapping a with b, c with d, or the pairs.
+    Evaluated as 2*atan2(|u-w|, |u+w|) on unit vectors, w oriented along
+    u, which keeps the precision near 0 and 90 that arccos loses.
     """
     a = _as_vector(a)
     u = _as_vector(b, a.shape[0]) - a
@@ -121,12 +119,8 @@ def regular_simplex(n: int) -> np.ndarray:
 
 
 class PointCloud:
-    """Finite list of distinct points in R^d.
-
-    The points are copied, so the cloud never shares the caller's array.
-    Exact duplicates are dropped (first occurrence kept); near-duplicates
-    are preserved.  Coordinates must be finite.
-    """
+    """Finite points in R^d, copied from the input; of exact duplicates
+    only the first is kept."""
 
     __slots__ = ("_pts", "label")
 
@@ -184,6 +178,8 @@ class PointCloud:
         if not isinstance(data, dict) or "dimension" not in data or "points" not in data:
             raise DimensionMismatch("cloud JSON needs 'dimension' and 'points'")
         d = _json_int(data, "dimension")
+        if d < 1:
+            raise InvalidDimension("cloud dimension must be at least 1")
         rows = _json_rows(data, "cloud", "points", d, {int, float})
         try:
             pts = np.fromiter(chain.from_iterable(rows), float, count=len(rows) * d)
@@ -216,10 +212,8 @@ def _format_rows(arr: np.ndarray, row: str, sep: str):
     """Yield `sep.join(row % r for r in arr)` for an (n, d) int or float
     array, one part per ROW_BLOCK rows and `sep` between those parts.
 
-    `row` holds one `%s` per column, filled with the `repr` of each value
-    as a Python int or float, which is how `json` writes a finite one.
-    Each distinct bit pattern is formatted once: `np.unique` runs over the
-    unsigned view, so -0.0 and 0.0 keep their own reprs.
+    `row` holds one `%s` per column, filled with the `repr` that `json`
+    writes, once per distinct bit pattern (so -0.0 keeps its own).
     """
     flat = np.ascontiguousarray(arr).reshape(-1)
     bits, where = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
@@ -350,15 +344,12 @@ def _cloud_threshold(pts: np.ndarray) -> float:
 
 
 def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:
-    """Positions i < j of the pair with the least (*keys(i, j), i, j).
+    """Positions i < j of the pair with the least (*keys(i, j), i, j), by
+    the README's sweep; needs two positions.
 
     `keys(i, j)` maps equal-length index arrays with i < j to a tuple of
     key arrays, and `lower(gap)`, nondecreasing, bounds the first key of
-    every pair whose projections differ by `gap` from below.  Pairs are
-    visited by their distance s = 1, 2, ... in the stable sorted order
-    of `proj`, one vectorised step per s; a start position leaves the
-    scan once its gap bounds the first key above the best so far, which
-    is exact because its gap only grows with s.  Needs two positions.
+    every pair whose projections differ by `gap` from below.
     """
     order = np.argsort(proj, kind="stable")
     ranked = proj[order]
@@ -386,9 +377,7 @@ def _apex_cosines(pts: np.ndarray, a: int, threshold: float):
     Returns (arm_indices, cosmat), where cosmat[i, j] belongs to the
     arms toward arm_indices[i] and arm_indices[j] (the diagonal
     included), or None if fewer than two arms are longer than
-    `threshold`.  The exhaustive stream, the extreme search and the
-    chain measure an apex angle as the arccos of one of these entries,
-    clipped to [-1, 1].
+    `threshold`.
     """
     n = pts.shape[0]
     arms = np.concatenate([np.arange(0, a), np.arange(a + 1, n)])
@@ -430,13 +419,12 @@ def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
 
 
 def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
-    """Deterministic sample of distinct (apex, i, j) triples with i < j.
+    """Sorted seeded sample of `budget` distinct (apex, i, j) triples, i < j.
 
-    Each round draws `take` index triples and keeps, in draw order, the
-    valid ones not kept before, until `budget` are kept; the result is
-    sorted.  The caller ensures the triple space is larger than the
-    budget, so the rounds end.  Triples are packed into int64 keys
-    (apex*n + i)*n + j, which bounds n by 2^21 - 1.
+    Each round draws index triples and keeps, in draw order, the valid
+    ones not kept before; the caller ensures more than `budget` exist.
+    Keys (apex*n + i)*n + j bound n by 2^21 - 1.  A key's first draw is
+    the least draw index in its run of the unstable sort.
     """
     if n**3 > np.iinfo(np.int64).max:
         raise BudgetExceeded(f"sampled triple scans take at most 2097151 points, not {n}")
@@ -449,9 +437,14 @@ def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
         j = rng.integers(0, n, size=take)
         i, j = np.minimum(i, j), np.maximum(i, j)
         drawn = ((a * n + i) * n + j)[(a != i) & (a != j) & (i != j)]
-        keys, first = np.unique(drawn, return_index=True)  # first draw of each
-        first = first[~np.isin(keys, kept, assume_unique=True)]
-        new = np.sort(drawn[np.sort(first)][: budget - len(kept)])
+        order = np.argsort(drawn)
+        ranked = drawn[order]
+        runs = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        first = np.minimum.reduceat(order, runs)
+        first = first[~np.isin(ranked[runs], kept, assume_unique=True)]
+        fresh = np.zeros(len(drawn), dtype=bool)
+        fresh[first] = True
+        new = np.sort(drawn[fresh][: budget - len(kept)])
         kept = np.insert(kept, np.searchsorted(kept, new), new)
     return np.stack([kept // (n * n), kept // n % n, kept % n], axis=1)
 
@@ -461,16 +454,12 @@ def _total_triples(n: int) -> int:
 
 
 def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
-    """Apex angles of the cloud's triples, as blocks (apex, arm1, arm2, angles).
+    """Apex angles of the cloud's triples, as the README's stream of blocks
+    (apex, arm1, arm2, angles): index arrays and float64 degrees.
 
-    The blocks are index arrays and float64 degrees in lexicographic
-    (apex, arm1, arm2) order with arm1 < arm2; triples with an arm no
-    longer than the cloud's degeneracy threshold are left out.  Without
-    a budget, or with one no smaller than the triple count, every triple
-    is measured, one block per apex.  Otherwise a single block holds the
-    seeded sample of `budget` triples, measured with the same formula.
-    Fewer than 3 points, or a budget below 1, are rejected before any
-    triple is measured.
+    Triples with an arm no longer than the cloud's degeneracy threshold
+    are left out.  Fewer than 3 points, or a budget below 1, are
+    rejected before any triple is measured.
     """
     n = pts.shape[0]
     if n < 3:
@@ -516,13 +505,10 @@ def angle_spectrum(
     budget: int | None = None,
     seed: int = 0,
 ) -> list[tuple[float, TripleWitness]]:
-    """All apex angles of the cloud, sorted by angle.
+    """All apex angles of the cloud, or of the seeded sample of `budget`
+    triples, sorted by angle, then by (apex, arm, arm) index.
 
-    Every unordered pair of arms is measured at every apex; ties in the
-    angle are broken by (apex, arm, arm) index order.  With `budget` set
-    and smaller than the triple count, a seeded deterministic subsample
-    of that many triples is used instead.  Intended for clouds small
-    enough that the full list fits in memory.
+    Intended for clouds small enough that the full list fits in memory.
     """
     blocks = _triple_angle_blocks(cloud.points, budget, seed)
     a, i, j, ang = (np.concatenate(column) for column in zip(*blocks))
@@ -540,11 +526,7 @@ def spectrum_hits(
     budget: int | None = None,
     seed: int = 0,
 ) -> Optional[TripleWitness]:
-    """First triple whose angle falls in the open window, or None.
-
-    Triples are scanned in lexicographic (apex, arm, arm) index order,
-    so `None` with no budget is an exhaustive absence statement.
-    """
+    """First triple, in the stream's order, whose angle is in the open window, or None."""
     for block in _triple_angle_blocks(cloud.points, budget, seed):
         witness = _block_hit(cloud, block, window)
         if witness is not None:

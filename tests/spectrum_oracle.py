@@ -2,14 +2,16 @@
 
 `sampled_triples`, `angle_spectrum` and `spectrum_hits` keep the bodies the
 library had before it measured every triple through one stream of array
-blocks; `spectrum_payload` is the `spectrum` subcommand's JSON built from
-them.  All three measure each apex with `apex_pair_angles`, the per-apex
-angle block as it was before the library split it into a cosine kernel and
-an index pair built once per arm count.  `near_extreme_witness` keeps the
-apex loop that measured every pair, and `supplementary_chain_report` its own
-copy of the per-apex angle block (`window_triples`) and of the direction
-angle (`vector_angle_degrees`), as they were before both read the library's
-one kernel; the chain also records which of its two caps bound, as
+blocks, and `unique_sampled_triples` the array sampler that found each
+key's first draw with a stable `np.unique`; `spectrum_payload` is the
+`spectrum` subcommand's JSON built from them.  All three scans measure each
+apex with `apex_pair_angles`, the per-apex angle block as it was before the
+library split it into a cosine kernel and an index pair built once per arm
+count.  `near_extreme_witness` keeps the apex loop that measured every
+pair, and `supplementary_chain_report` its own copy of the per-apex angle
+block (`window_triples`) and of the direction angle
+(`vector_angle_degrees`), as they were before both read the library's one
+kernel; the chain also records which of its two caps bound, as
 `limits_hit`.  Tests compare the library against these.
 """
 
@@ -69,6 +71,23 @@ def sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
                 break
     arr = np.array(sorted(out), dtype=np.int64)
     return arr
+
+
+def unique_sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    kept = np.empty(0, dtype=np.int64)  # sorted keys
+    while len(kept) < budget:
+        take = max(1024, 2 * (budget - len(kept)))
+        a = rng.integers(0, n, size=take)
+        i = rng.integers(0, n, size=take)
+        j = rng.integers(0, n, size=take)
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        drawn = ((a * n + i) * n + j)[(a != i) & (a != j) & (i != j)]
+        keys, first = np.unique(drawn, return_index=True)  # first draw of each
+        first = first[~np.isin(keys, kept, assume_unique=True)]
+        new = np.sort(drawn[np.sort(first)][: budget - len(kept)])
+        kept = np.insert(kept, np.searchsorted(kept, new), new)
+    return np.stack([kept // (n * n), kept // n % n, kept % n], axis=1)
 
 
 def angle_spectrum(cloud, budget=None, seed=0):

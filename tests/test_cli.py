@@ -513,3 +513,14 @@ def test_nan_parameters_exit_2(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("data", [{"dimension": 0, "points": [[]]}, {"dimension": -1, "points": []}])
+def test_cloud_dimension_below_one_exits_2(capsys, tmp_path, data):
+    with pytest.raises(AngleLabError, match="cloud dimension must be at least 1"):
+        PointCloud.from_json_dict(data)
+    path = write_cloud(tmp_path, data)
+    assert main(["spectrum", "--cloud", path, "--alpha", "60", "--window", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: cloud dimension must be at least 1" in captured.err

@@ -1,9 +1,11 @@
 """Cloud I/O against the per-value code in emit_oracle: the CLI's JSON and
-csv bytes, the cell set of `from_points` and the duplicate rule of
+csv bytes, the JSON of arrays nested in payloads (covers and zoomed grids
+among them), the cell set of `from_points` and the duplicate rule of
 `PointCloud`."""
 
 import contextlib
 import io
+import json
 from argparse import Namespace
 
 import numpy as np
@@ -12,8 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import emit_oracle as oracle
-from anglelab.cli import _emit, main
-from anglelab.content import from_points
+from anglelab.cli import _emit, _json_text, main
+from anglelab.content import DyadicGrid, dyadic_content, from_points, microset_zoom
 from anglelab.dimension import _normalize_unit
 from anglelab.geom import ROW_BLOCK, PointCloud, _row_groups
 from anglelab.ifs import gasket_ifs, iterate_cloud
@@ -241,6 +243,73 @@ def test_rasterize_bytes_match_the_oracle(capsys, tmp_path):
     assert len(cells) > ROW_BLOCK
     want = oracle.json_text({"dimension": 2, "levels": 12, "occupied": cells})
     assert lines(capsys.readouterr().out) == lines(want)
+    # the grid feeds the cover and the zoom, each more than a row block long
+    path.write_text(want)
+    grid = DyadicGrid.from_json_dict(json.loads(want))
+    assert main(["content", "--grid", str(path), "--s", "1.9"]) == 0
+    result = dyadic_content(grid, 1.9)
+    assert len(result.cover) > ROW_BLOCK
+    assert lines(capsys.readouterr().out) == lines(oracle.json_text(result.to_json_dict()))
+    s, delta = 1.0, 0.1
+    assert main(["zoom", "--grid", str(path), "--s", str(s), "--delta", str(delta)]) == 0
+    zoomed = microset_zoom(grid, s, delta)
+    assert len(zoomed.rescaled) > ROW_BLOCK
+    params = {"s": s, "delta": delta, "threshold": 2.0 ** (-s - 2.0)}
+    want = oracle.json_text({**zoomed.to_json_dict(), "params": params})
+    assert lines(capsys.readouterr().out) == lines(want)
+
+
+INT64 = st.sampled_from([-(1 << 63), -1, 0, 1, (1 << 63) - 1]) | st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@st.composite
+def arrays(draw):
+    """A float or int64 (n, d) block, or a cover: int64 levels (n,) and cells (n, d)."""
+    n, d, kind = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    rows = draw(st.lists(st.lists(INT64 if kind else COORDS, min_size=d, max_size=d),
+                         min_size=n, max_size=n))
+    block = np.array(rows, dtype=np.int64 if kind else float).reshape(n, d)
+    if kind < 2:
+        return block
+    return np.array(draw(st.lists(INT64, min_size=n, max_size=n)), dtype=np.int64), block
+
+
+@st.composite
+def nested_payloads(draw):
+    """An array 1-3 dicts deep, among JSON values and other arrays."""
+    payload = draw(arrays())
+    for _ in range(draw(st.integers(1, 3))):
+        siblings = draw(st.dictionaries(st.text(), JSON_VALUES | arrays(), max_size=3))
+        payload = {**siblings, draw(st.text()): payload}
+    return payload
+
+
+def plain(value):
+    """The payload with each array replaced by the lists it stands for."""
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return [list(row) for row in zip(*(a.tolist() for a in value))]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@SETTINGS
+@given(nested_payloads())
+def test_nested_arrays_match_the_oracle(payload):
+    assert lines("".join(_json_text(payload))) == lines(oracle.json_text(plain(payload)))
+
+
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cover_rows_match_the_oracle(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    levels = rng.integers(0, 64, size=n)
+    cells = rng.integers(-(1 << 63), (1 << 63) - 1, size=(n, d), endpoint=True)
+    payload = {"value": -0.0, "exponent": 1.5, "cover": (levels, cells)}
+    want = oracle.json_text({**payload, "cover": [[int(lv), c] for lv, c in zip(levels, cells.tolist())]})
+    assert lines("".join(_json_text(payload))) == lines(want)
+    if n == 0:
+        assert '"cover": []' in want
 
 
 def test_gasket_json_is_streamed_in_row_blocks(capsys, tmp_path):

@@ -55,8 +55,8 @@ def _fields(witness):
 
 
 @st.composite
-def sample_sizes(draw):
-    n = draw(st.integers(3, 16))
+def sample_sizes(draw, most=16):
+    n = draw(st.integers(3, most))
     total = _total_triples(n)
     budget = draw(
         st.one_of(st.integers(1, total - 1), st.integers(max(1, total - 3), total - 1))
@@ -73,6 +73,19 @@ def test_sampler_replays_the_reference_draws(size, seed):
     got = _sampled_triples(n, budget, seed)
     want = oracle.sampled_triples(n, budget, seed)
     assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (budget, 3)
+    assert np.array_equal(got, want)
+
+
+@SETTINGS
+@given(sample_sizes(60), st.integers(0, 2**32 - 1))
+@example((3, 2), 0)  # 3 triples, 2 kept: most draws repeat one
+@example((60, 102659), 11)  # one below the triple count: many rounds
+@example((1296, 40000), 5)  # the highdim workload's sampled spectrum
+def test_sampler_keeps_the_first_draws_of_the_stable_unique_sampler(size, seed):
+    n, budget = size
+    got = _sampled_triples(n, budget, seed)
+    want = oracle.unique_sampled_triples(n, budget, seed)
     assert got.shape == want.shape == (budget, 3)
     assert np.array_equal(got, want)
 
