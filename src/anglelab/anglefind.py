@@ -146,12 +146,9 @@ def almost_regular_triangle(
     triangle found is returned; same color forces the ratio bound.
     Returns None when the subset has no monochromatic triple.
 
-    The scan over k packs each scale once, the fine packing of one k
-    being the coarse one of the next, and stops after the first k whose
-    coarse packing keeps every point: each bucket is then a single point.
-    Its fine scale keeps every point too and is not packed.  When the
-    scan reaches TRIANGLE_SCAN_MAX_K first, that name is appended to
-    `limits_hit`, if given.
+    The scan over k stops after the first k whose coarse packing keeps
+    every point (see the README).  When it reaches TRIANGLE_SCAN_MAX_K
+    first, that name is appended to `limits_hit`, if given.
     """
     if not (delta > 0.0):
         raise InvalidWindow("regularity delta must be positive")
@@ -204,11 +201,10 @@ class RightAngleWitness:
 def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
     """Search for an angle near 90 degrees by projecting a well-spread subset.
 
-    The cloud is rescaled so its diameter exceeds 2, a well-spread
-    subset S at scales (k, l) is extracted, and the pair of S minus P
-    whose projections onto the line from S's first point O to the
-    farthest cloud point P are closest yields the apex: the angle at Q1
-    between P and Q2 is reported with its deviation from 90 degrees.
+    The cloud is rescaled to a diameter above 2.  The pair (Q1, Q2) of a
+    well-spread subset S at scales (k, l), P left out, whose projections
+    onto the line from S's first point to the farthest cloud point P are
+    closest gives the angle at Q1 between P and Q2.
     """
     if not (0 < l < k):
         raise InvalidScales("need 0 < l < k")
@@ -249,14 +245,11 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
 def near_extreme_witness(cloud: PointCloud, target: str) -> TripleWitness:
     """Exhaustive search for the smallest (zero) or largest (straight) angle.
 
-    The witness is the first triple of the exhaustive stream, in
-    (apex, arm1, arm2) order, whose angle is extreme.  Each apex reduces
-    its cosine matrix instead of measuring every pair: a pair whose
-    cosine falls more than EXTREME_MARGIN short of the apex's extreme
-    cosine has an angle worse by at least that many radians, since
-    |d arccos/dc| >= 1, far beyond arccos's rounding, so only the pairs
-    within the margin are measured.  The scan stops at an exact 0 or
-    180 degrees, which no later apex can beat.
+    The witness is the first extreme triple of the exhaustive stream, in
+    (apex, arm1, arm2) order.  Only pairs within EXTREME_MARGIN of the
+    apex's extreme cosine are measured: the others are worse by at least
+    that many radians, since |d arccos/dc| >= 1.  The scan stops at an
+    exact 0 or 180 degrees.
     """
     if target not in ("zero", "straight"):
         raise AngleLabError("target must be 'zero' or 'straight'")
@@ -304,11 +297,10 @@ def _window_triples(
 ) -> list[tuple[int, int, int]]:
     """Up to max_candidates triples (p, q, r) with angle at q in (lo, hi).
 
-    Apexes are scanned in index order.  For each apex only the
-    CHAIN_ARM_CAP farthest arms are paired (documented heuristic); the
-    in-window pair maximizing the shorter arm wins, and the farther arm
-    of the pair is labeled p.  "CHAIN_ARM_CAP" is added to `limits`, if
-    given, when a scanned apex has more usable arms than the cap.
+    Per apex, in index order, only the CHAIN_ARM_CAP farthest arms are
+    paired ("CHAIN_ARM_CAP" goes into `limits`, if given, when it binds);
+    the in-window pair with the longest shorter arm wins, its farther arm
+    labeled p.
     """
     found: list[tuple[int, int, int]] = []
     for q_pos in range(len(active)):
@@ -344,13 +336,8 @@ def _window_triples(
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Outcome of one supplementary-angle chain run (heuristic search).
-
-    `limits_hit` names, in sorted order, the caps that bound anywhere in
-    the search: CHAIN_ARM_CAP when a scanned apex had more usable arms
-    than the cap, CHAIN_START_CAP when the start scan stopped at the cap
-    with apexes left unscanned.
-    """
+    """Outcome of one supplementary-angle chain run (heuristic search);
+    `limits_hit` names, sorted, the caps that bound anywhere in it."""
 
     witness: TripleWitness
     steps: int
@@ -424,17 +411,13 @@ def supplementary_chain_report(
     max_steps: int,
     limits_hit: list[str] | None = None,
 ) -> Optional[ChainReport]:
-    """Chase angles near alpha through shrinking neighborhoods.
+    """Chase angles near alpha through shrinking neighborhoods (a heuristic;
+    see the README).
 
-    Mirrors the recursive construction: each step finds a triple with
-    apex angle inside (alpha - delta, alpha + delta) within the
-    epsilon * min(arm)-ball around the previous step's p point; two
-    steps with nearly parallel q->p directions then exhibit an angle
-    near 180 - alpha.  The minimum direction gap actually achieved is
-    reported (it may exceed epsilon); the search is a documented
-    heuristic and returns None when no chain of length 2 forms.  The
-    names of the caps that bound, sorted, are appended to `limits_hit`,
-    if given, on every return, None included.
+    Each step finds a triple with apex angle in (alpha - delta, alpha +
+    delta) within the epsilon * min(arm)-ball around the previous p; two
+    steps with nearly parallel q->p directions exhibit an angle near
+    180 - alpha.  Returns None when no chain of length 2 forms.
     """
     if not (delta > 0.0 and alpha + delta > 0.0 and alpha - delta < 180.0):
         raise InvalidWindow("the angle window around alpha is empty")

@@ -332,7 +332,7 @@ def _cmd_zoom(args) -> int:
 def _cmd_rasterize(args) -> int:
     cloud = _load_cloud(args.cloud)
     if args.normalize:
-        cloud = PointCloud(_normalize_unit(cloud.points))
+        cloud = PointCloud(_normalize_unit(cloud.points), cloud.dimension)
     return _emit(args, 0, _grid_json(from_points(cloud, args.m, budget=args.budget)))
 
 

@@ -1,14 +1,18 @@
 """Dyadic-cube Hausdorff content: sparse tree DP for the minimal cover,
 densest-cube extraction, and the zoom that rescales a dense cube to the
 unit cube.
+
+A grid holds its cells as one read-only (n, d) int64 array of distinct
+rows in lexicographic order; the frozenset `occupied` is built on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .errors import (
     InvalidDepth,
     InvalidDimension,
 )
-from .geom import PointCloud, _first_rows, _json_int, _json_rows
+from .geom import PointCloud, _json_int, _json_rows, _row_groups
 
 # Cap on 2^(levels * dimension), the number of cells a full grid would hold.
 DEFAULT_CELL_BUDGET = 2_000_000
@@ -32,7 +36,13 @@ Cell = tuple[int, ...]
 Cube = tuple[int, Cell]
 
 
-@dataclass(frozen=True)
+def _check_grid(dimension: int, levels: int) -> None:
+    if dimension < 1:
+        raise InvalidDimension("grid dimension must be at least 1")
+    if not 0 <= levels <= MAX_LEVELS:
+        raise InvalidDepth(f"grid level count must lie in [0, {MAX_LEVELS}]")
+
+
 class DyadicGrid:
     """Occupied cells of the level-m dyadic subdivision of the unit cube.
 
@@ -40,38 +50,56 @@ class DyadicGrid:
     [i_j * 2^(-m), (i_j + 1) * 2^(-m)).
     """
 
-    dimension: int
-    levels: int
-    occupied: frozenset[Cell]
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise InvalidDimension("grid dimension must be at least 1")
-        if not 0 <= self.levels <= MAX_LEVELS:
-            raise InvalidDepth(f"grid level count must lie in [0, {MAX_LEVELS}]")
+    def __init__(self, dimension: int, levels: int, occupied: Iterable[Cell]) -> None:
+        _check_grid(dimension, levels)
         # one pass in C per rule; booleans are not cell indices
-        cells = self.occupied
-        if not set(map(len, cells)) <= {self.dimension}:
-            raise InvalidDimension(f"cells must have {self.dimension} coordinates")
+        cells = list(occupied)
+        if not set(map(len, cells)) <= {dimension}:
+            raise InvalidDimension(f"cells must have {dimension} coordinates")
         if not set(map(type, chain.from_iterable(cells))) <= {int}:
             raise AngleLabError("cell coordinates must be integers")
         low = min(chain.from_iterable(cells), default=0)
         high = max(chain.from_iterable(cells), default=0)
-        if low < 0 or high >= 1 << self.levels:
-            raise AngleLabError(f"cells must lie in [0, 2^{self.levels})^d")
+        if low < 0 or high >= 1 << levels:
+            raise AngleLabError(f"cells must lie in [0, 2^{levels})^d")
+        rows = np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, dimension)
+        order, new = _row_groups(rows)
+        self.dimension, self.levels, self._rows = dimension, levels, rows[order[new]]
+        self._rows.setflags(write=False)
+
+    @classmethod
+    def _of_rows(cls, dimension: int, levels: int, rows: np.ndarray) -> "DyadicGrid":
+        """The grid of `rows` as they stand: distinct, sorted, in range."""
+        grid = cls.__new__(cls)
+        grid.dimension, grid.levels, grid._rows = dimension, levels, rows
+        rows.setflags(write=False)
+        return grid
+
+    @cached_property
+    def occupied(self) -> frozenset[Cell]:
+        return frozenset(map(tuple, self._rows.tolist()))
 
     def __len__(self) -> int:
-        return len(self.occupied)
+        return len(self._rows)
+
+    def _key(self) -> tuple:
+        return self.dimension, self.levels, self._rows.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DyadicGrid) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def cell_rows(self) -> np.ndarray:
         """The occupied cells as lexicographically sorted int64 rows, (n, d)."""
-        return np.array(sorted(self.occupied), dtype=np.int64).reshape(-1, self.dimension)
+        return self._rows
 
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,
             "levels": self.levels,
-            "occupied": self.cell_rows().tolist(),
+            "occupied": self._rows.tolist(),
         }
 
     @classmethod
@@ -80,7 +108,7 @@ class DyadicGrid:
             raise AngleLabError("grid JSON needs 'dimension', 'levels' and 'occupied'")
         d = _json_int(data, "dimension")
         cells = _json_rows(data, "grid", "occupied", d, {int})
-        return cls(d, _json_int(data, "levels"), frozenset(map(tuple, cells)))
+        return cls(d, _json_int(data, "levels"), cells)
 
 
 def from_points(
@@ -95,17 +123,19 @@ def from_points(
     if m < 0:
         raise InvalidDepth("grid level count must be non-negative")
     d = cloud.dimension
-    if (1 << (m * d)) > budget:
+    # 2^(m*d) > budget, without building 2^(m*d)
+    if budget < 1 or m * d >= budget.bit_length():
         raise BudgetExceeded(
             f"a level-{m} grid in dimension {d} holds 2^{m * d} cells"
         )
     pts = cloud.points
     if len(cloud) and (pts.min() < 0.0 or pts.max() > 1.0):
         raise AngleLabError("points must lie inside the unit cube")
+    _check_grid(d, m)
     side = 1 << m
     idx = np.clip(np.ceil(pts * side).astype(np.int64) - 1, 0, side - 1)
-    cells = frozenset(map(tuple, idx[_first_rows(idx)].tolist()))
-    return DyadicGrid(d, m, cells)
+    order, new = _row_groups(idx)
+    return DyadicGrid._of_rows(d, m, idx[order[new]])
 
 
 def _tree_values(
@@ -125,14 +155,16 @@ def _tree_values(
     flags = [np.ones(len(cells[0]), dtype=bool)]
     parents = []
     for j in range(m - 1, -1, -1):
-        up, inverse = np.unique(cells[0] >> 1, axis=0, return_inverse=True)
-        parents.insert(0, inverse.reshape(-1))
+        half = cells[0] >> 1
+        order, new = _row_groups(half)
+        cells.insert(0, half[order[new]])
+        parents.insert(0, np.empty(len(half), dtype=np.intp))
+        parents[0][order] = np.cumsum(new) - 1
         # np.add.at adds in index order, so each parent gets the canonical
         # left-to-right sum of its children in sorted order
-        sums = np.zeros(len(up))
+        sums = np.zeros(len(cells[0]))
         np.add.at(sums, parents[0], values[0])
         own = (2.0 ** (-j)) ** s
-        cells.insert(0, up)
         flags.insert(0, own <= sums)
         values.insert(0, np.where(flags[0], own, sums))
     parents.insert(0, np.zeros(0, dtype=np.intp))
@@ -164,7 +196,7 @@ def dyadic_content(grid: DyadicGrid, s: float) -> ContentResult:
     """
     if not (s > 0.0):
         raise AngleLabError("content exponent must be positive")
-    if not grid.occupied:
+    if not len(grid):
         return ContentResult(0.0, float(s), ())
     cells, values, flags, parents = _tree_values(grid, s)
     # top-down: a node is reached when no ancestor took its own cube
@@ -208,7 +240,7 @@ def dense_cube(grid: DyadicGrid, s: float) -> DenseCubeResult:
     Ties go to the coarsest level, then the smallest index.  meets_lemma
     reports whether the maximum clears the density threshold 2^(-2-s).
     """
-    if not grid.occupied:
+    if not len(grid):
         raise EmptyGrid("dense cube search needs an occupied cell")
     if not (s > 0.0):
         raise AngleLabError("content exponent must be positive")
@@ -244,7 +276,7 @@ def microset_zoom(grid: DyadicGrid, s: float, delta: float) -> ZoomResult:
     """
     if not (0.0 < delta < s / 2.0):
         raise InvalidDelta("need 0 < delta < s/2")
-    if not grid.occupied:
+    if not len(grid):
         raise EmptyGrid("zoom needs an occupied cell")
     m, d = grid.levels, grid.dimension
     max_level = m - math.ceil(m * delta / (2.0 * d))
@@ -256,8 +288,8 @@ def microset_zoom(grid: DyadicGrid, s: float, delta: float) -> ZoomResult:
     level, anchor = best
     shift = m - level
     leaves = cells[m]
+    # a constant row off sorted distinct rows leaves them sorted and distinct
     inside = leaves[(leaves >> shift == anchor).all(axis=1)] - (np.array(anchor) << shift)
-    rel = frozenset(map(tuple, inside.tolist()))
-    rescaled = DyadicGrid(d, shift, rel)
+    rescaled = DyadicGrid._of_rows(d, shift, inside)
     passes = best_val >= 2.0 ** (-s - 2.0)
     return ZoomResult(best, best_val, passes, rescaled)

@@ -25,6 +25,8 @@ def _normalize_unit(pts: np.ndarray) -> np.ndarray:
     cloud by a power of two shifts the usable k-range instead of
     silently renormalizing it.
     """
+    if not len(pts):
+        return pts
     lo = pts.min(axis=0)
     extent = float((pts.max(axis=0) - lo).max())
     if extent <= 1.0:

@@ -139,8 +139,8 @@ class PointCloud:
         if not np.all(np.isfinite(arr)):
             raise AngleLabError("coordinates must be finite")
         if arr.shape[0] > 1:
-            first = _first_rows(arr)
-            arr = arr if len(first) == len(arr) else arr[first]
+            order, new = _row_groups(arr)
+            arr = arr if new.all() else arr[np.sort(order[new])]
         arr.setflags(write=False)
         self._pts = arr
         self.label = label
@@ -268,12 +268,6 @@ def _row_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = c[order]
         new[1:] |= c[1:] != c[:-1]
     return order, new
-
-
-def _first_rows(arr: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row."""
-    order, new = _row_groups(arr)
-    return np.sort(order[new])
 
 
 @dataclass(frozen=True)

@@ -275,10 +275,8 @@ def rectangle_in(
 ) -> RectangleWitness:
     """Search a depth-iterate cloud for the rectangle of two map pairs.
 
-    With P the fixed point of f.g and Q the fixed point of g.f, any pair
-    (x, y) perpendicular to P-Q yields corners f(g(x)), f(g(y)),
-    g(f(y)), g(f(x)) close to a rectangle; the pair minimizing the
-    normalized projection onto P-Q is selected (ties by point index).
+    The pair (x, y) closest to perpendicular to P - Q, the fixed points of
+    f.g and g.f, gives the corners f(g(x)), f(g(y)), g(f(y)), g(f(x)).
     """
     if not (0 <= f_index < len(ifs.maps)) or not (0 <= g_index < len(ifs.maps)):
         raise InvalidCode("map index outside the system")

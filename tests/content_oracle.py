@@ -3,21 +3,94 @@
 `tree_values`, `dyadic_content`, `densest_cube`, `dense_cube` and
 `microset_zoom` keep the bodies the library had before it stored each tree
 level as sorted index arrays; `content_payload` and `zoom_payload` are the
-`content` and `zoom` subcommands' JSON built from them.  Tests compare the
-library against these.
+`content` and `zoom` subcommands' JSON built from them.  `FrozenGrid` is
+the grid as it was before it held its cells as sorted int64 rows: a
+frozenset of tuples, sorted on every `cell_rows()` call.
+`unique_tree_values` is the per-level array pass as it was before it
+grouped rows by lexsort: one `np.unique(axis=0)` per level.  Tests compare
+the library against these.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from anglelab.content import (
+    MAX_LEVELS,
     ContentResult,
     DenseCubeResult,
-    DyadicGrid,
     ZoomResult,
 )
-from anglelab.errors import AngleLabError, EmptyGrid, InvalidDelta
+from anglelab.errors import (
+    AngleLabError,
+    EmptyGrid,
+    InvalidDelta,
+    InvalidDepth,
+    InvalidDimension,
+)
+
+
+@dataclass(frozen=True)
+class FrozenGrid:
+    dimension: int
+    levels: int
+    occupied: frozenset
+
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise InvalidDimension("grid dimension must be at least 1")
+        if not 0 <= self.levels <= MAX_LEVELS:
+            raise InvalidDepth(f"grid level count must lie in [0, {MAX_LEVELS}]")
+        cells = self.occupied
+        if not set(map(len, cells)) <= {self.dimension}:
+            raise InvalidDimension(f"cells must have {self.dimension} coordinates")
+        if not set(map(type, chain.from_iterable(cells))) <= {int}:
+            raise AngleLabError("cell coordinates must be integers")
+        low = min(chain.from_iterable(cells), default=0)
+        high = max(chain.from_iterable(cells), default=0)
+        if low < 0 or high >= 1 << self.levels:
+            raise AngleLabError(f"cells must lie in [0, 2^{self.levels})^d")
+
+    def __len__(self) -> int:
+        return len(self.occupied)
+
+    def cell_rows(self) -> np.ndarray:
+        return np.array(sorted(self.occupied), dtype=np.int64).reshape(-1, self.dimension)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "dimension": self.dimension,
+            "levels": self.levels,
+            "occupied": self.cell_rows().tolist(),
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "FrozenGrid":
+        cells = data["occupied"]
+        return cls(data["dimension"], data["levels"], frozenset(map(tuple, cells)))
+
+
+def unique_tree_values(grid, s):
+    m = grid.levels
+    cells = [grid.cell_rows()]
+    values = [np.full(len(cells[0]), (2.0 ** (-m)) ** s)]
+    flags = [np.ones(len(cells[0]), dtype=bool)]
+    parents = []
+    for j in range(m - 1, -1, -1):
+        up, inverse = np.unique(cells[0] >> 1, axis=0, return_inverse=True)
+        parents.insert(0, inverse.reshape(-1))
+        sums = np.zeros(len(up))
+        np.add.at(sums, parents[0], values[0])
+        own = (2.0 ** (-j)) ** s
+        cells.insert(0, up)
+        flags.insert(0, own <= sums)
+        values.insert(0, np.where(flags[0], own, sums))
+    parents.insert(0, np.zeros(0, dtype=np.intp))
+    return cells, values, flags, parents
 
 
 def tree_values(grid, s):
@@ -108,7 +181,7 @@ def microset_zoom(grid, s, delta):
     rel = frozenset(
         tuple(c - (a << shift) for c, a in zip(cell, anchor)) for cell in inside
     )
-    rescaled = DyadicGrid(d, shift, rel)
+    rescaled = FrozenGrid(d, shift, rel)
     passes = best_val >= 2.0 ** (-s - 2.0)
     return ZoomResult(best, best_val, passes, rescaled)
 

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import content_oracle
+import emit_oracle
 import pack_oracle
 import spectrum_oracle
 from anglelab import PointCloud
@@ -315,6 +317,74 @@ def test_content_and_zoom_json_match_the_reference_tree(capsys, tmp_path):
         want = content_oracle.zoom_payload(grid, s, delta)
         assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
         assert code == (0 if want["passes_claim"] else 1)
+
+
+def test_rasterize_content_zoom_bytes_match_the_oracle_payloads(capsys, tmp_path):
+    # a level-12 grid of about 2k cells from the depth-6 gasket
+    cloud_path = str(tmp_path / "g.json")
+    grid_path = str(tmp_path / "grid.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.25", "--depth", "6", "--out", cloud_path]) == 0
+    argv = ["rasterize", "--cloud", cloud_path, "--m", "12", "--normalize", "--budget", str(1 << 24)]
+    assert main(argv + ["--out", grid_path]) == 0
+    cloud = PointCloud.from_json_dict(json.loads(open(cloud_path).read()))
+    pts = cloud.points - cloud.points.min(axis=0)
+    grid = content_oracle.FrozenGrid(2, 12, emit_oracle.occupied_cells(pts / np.ptp(pts, axis=0).max(), 12))
+    assert 1500 < len(grid) < 3000
+    assert open(grid_path).read() == emit_oracle.json_text(grid.to_json_dict())
+    s, delta = 1.0, 0.1
+    assert main(["content", "--grid", grid_path, "--s", str(s)]) == 0
+    assert capsys.readouterr().out == emit_oracle.json_text(content_oracle.content_payload(grid, s))
+    code = main(["zoom", "--grid", grid_path, "--s", str(s), "--delta", str(delta)])
+    want = content_oracle.zoom_payload(grid, s, delta)
+    assert capsys.readouterr().out == emit_oracle.json_text(want)
+    assert code == (0 if want["passes_claim"] else 1)
+
+
+def test_duplicate_and_unsorted_grid_rows_collapse(capsys, tmp_path):
+    rows = [[3, 0], [0, 1], [3, 0], [1, 1], [0, 1]]
+    messy = write_cloud(tmp_path, {"dimension": 2, "levels": 2, "occupied": rows}, "messy.json")
+    clean = write_cloud(
+        tmp_path, {"dimension": 2, "levels": 2, "occupied": [[0, 1], [1, 1], [3, 0]]}, "clean.json"
+    )
+    for argv in (["content", "--s", "1.5"], ["zoom", "--s", "1.5", "--delta", "0.2"]):
+        codes = [main(argv + ["--grid", path]) for path in (messy, clean)]
+        first, second = capsys.readouterr().out.split("}\n{")
+        assert codes[0] == codes[1] and first + "}\n" == "{" + second
+    data = json.loads(open(messy).read())
+    grid = DyadicGrid.from_json_dict(data)
+    assert grid.cell_rows().tolist() == [[0, 1], [1, 1], [3, 0]] and len(grid) == 3
+    assert grid == DyadicGrid.from_json_dict(json.loads(open(clean).read()))
+    assert grid.occupied == content_oracle.FrozenGrid.from_json_dict(data).occupied
+
+
+@pytest.mark.parametrize("cell", [2**65, -(2**65), 2**63])
+def test_grid_cells_beyond_int64_exit_2(capsys, tmp_path, cell):
+    path = write_cloud(tmp_path, {"dimension": 1, "levels": 63, "occupied": [[0], [cell]]})
+    assert main(["content", "--grid", path, "--s", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cells must lie in [0, 2^63)^d" in captured.err
+
+
+def test_rasterize_empty_cloud_with_and_without_normalize(capsys, tmp_path):
+    empty = write_cloud(tmp_path, {"dimension": 2, "points": []})
+    for extra in ([], ["--normalize"]):
+        code, data = run_json(capsys, ["rasterize", "--cloud", empty, "--m", "3"] + extra)
+        assert code == 0
+        assert data == {"dimension": 2, "levels": 3, "occupied": []}
+
+
+def test_rasterize_depth_limits_exit_before_the_work(capsys, tmp_path):
+    cloud = write_cloud(tmp_path, {"dimension": 2, "points": [[0.5, 0.5]]})
+    argv = ["rasterize", "--cloud", cloud, "--m"]
+    assert main(argv + ["100000000"]) == 3
+    assert "a level-100000000 grid in dimension 2 holds 2^200000000 cells" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["64", "--budget", str(1 << 200)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid level count must lie in [0, 63]" in captured.err
 
 
 def test_rasterize_normalize_flag(capsys, tmp_path):

@@ -116,7 +116,12 @@ def unit_clouds(draw):
 @given(unit_clouds())
 def test_from_points_cells_match_the_oracle(cloud_and_level):
     cloud, m = cloud_and_level
-    assert from_points(cloud, m, budget=1 << 32).occupied == oracle.occupied_cells(cloud.points, m)
+    grid = from_points(cloud, m, budget=1 << 32)
+    want = oracle.occupied_cells(cloud.points, m)
+    assert grid.occupied == want and len(grid) == len(want)
+    rows = grid.cell_rows()
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert np.array_equal(rows, np.array(sorted(want), dtype=np.int64).reshape(-1, cloud.dimension))
 
 
 @SETTINGS

@@ -1,9 +1,12 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import content_oracle as oracle
 from anglelab import PointCloud
 from anglelab.content import (
     DEFAULT_CELL_BUDGET,
@@ -81,6 +84,58 @@ def test_grid_validates_cells():
         DyadicGrid(2, 2, frozenset([(True, 0)]))
 
 
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except AngleLabError as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "dimension, levels, cells",
+    [
+        (2, 2, [(0, 0), (3, 3)]),
+        (2, 2, [(3, 0), (0, 1), (3, 0), (0, 1), (1, 1)]),  # duplicate, unsorted
+        (3, 0, [(0, 0, 0), (0, 0, 0)]),
+        (1, 63, [((1 << 63) - 1,), (0,)]),
+        (2, 5, []),
+        (2, 2, [(0, 4)]),
+        (2, 2, [(-1, 0)]),
+        (1, 63, [(1 << 63,)]),
+        (1, 63, [(2**65,)]),
+        (1, 63, [(-(2**65),)]),
+        (2, 2, [(0, 0, 0)]),
+        (2, 2, [(0, 0), (1,)]),
+        (2, 2, [(True, 0)]),
+        (2, 2, [(0.0, 1)]),
+        (0, 2, []),
+        (2, -1, []),
+        (1, 64, []),
+        # the rules fail in the same order: dimension, levels, length, type, range
+        (0, 64, [(0.5,)]),
+        (2, 64, [(0.5,)]),
+        (2, 2, [(0.5,), (9, 9)]),
+        (2, 2, [(0.5, 1), (9, 9)]),
+    ],
+)
+def test_grid_validation_matches_the_frozenset_grid(dimension, levels, cells):
+    got = _outcome(DyadicGrid, dimension, levels, iter(cells))
+    want = _outcome(oracle.FrozenGrid, dimension, levels, frozenset(cells))
+    if got[0] != "ok" or want[0] != "ok":
+        assert got == want
+        return
+    grid, frozen = got[1], want[1]
+    assert grid.occupied == frozen.occupied and len(grid) == len(frozen)
+    rows = grid.cell_rows()
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert np.array_equal(rows, frozen.cell_rows())
+    assert grid.to_json_dict() == frozen.to_json_dict()
+    same = DyadicGrid(dimension, levels, frozenset(cells))
+    assert grid == same and hash(grid) == hash(same)
+    assert grid != DyadicGrid(dimension, levels, []) or not cells
+    assert grid != DyadicGrid(dimension + 1, levels, []) and grid != frozen
+
+
 def test_grid_json_round_trip():
     grid = DyadicGrid(3, 2, frozenset([(0, 1, 2), (3, 3, 3)]))
     data = grid.to_json_dict()
@@ -138,6 +193,43 @@ def test_from_points_validation():
     with pytest.raises(BudgetExceeded):
         from_points(PointCloud([(0.5, 0.5)]), 11)
     assert (1 << 20) <= DEFAULT_CELL_BUDGET < (1 << 22)
+
+
+@pytest.mark.parametrize("budget", [-5, 0, 1, 2, 3, 4, 15, 16, 17, 255, 256, 257])
+def test_from_points_budget_is_the_cell_count_rule(budget):
+    cloud = PointCloud([(0.5, 0.5)])
+    for m in range(6):
+        exceeded = (1 << (2 * m)) > budget
+        got = _outcome(from_points, cloud, m, budget)
+        if exceeded:
+            assert got == (BudgetExceeded, f"a level-{m} grid in dimension 2 holds 2^{2 * m} cells")
+        else:
+            assert got[0] == "ok" and len(got[1]) == 1
+
+
+def test_from_points_checks_its_budget_before_building_the_cell_count():
+    # 2^(2 * 10^8) alone would take 25 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"holds 2\^200000000 cells"):
+            from_points(PointCloud([(0.5, 0.5)]), 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_from_points_rejects_levels_past_int64_before_the_cast():
+    cloud = PointCloud([(0.5,), (0.25,)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDepth, match=r"grid level count must lie in \[0, 63\]"):
+            from_points(cloud, 64, budget=1 << 100)
+        grid = from_points(cloud, 63, budget=1 << 100)
+    assert grid.cell_rows().tolist() == [[(1 << 61) - 1], [(1 << 62) - 1]]
+    # the unit cube is checked first, as before
+    with pytest.raises(AngleLabError, match="inside the unit cube"):
+        from_points(PointCloud([(1.5,)]), 64, budget=1 << 100)
 
 
 def test_content_fully_occupied_is_one():
