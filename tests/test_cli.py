@@ -328,7 +328,8 @@ def test_rasterize_content_zoom_bytes_match_the_oracle_payloads(capsys, tmp_path
     assert main(argv + ["--out", grid_path]) == 0
     cloud = PointCloud.from_json_dict(json.loads(open(cloud_path).read()))
     pts = cloud.points - cloud.points.min(axis=0)
-    grid = content_oracle.FrozenGrid(2, 12, emit_oracle.occupied_cells(pts / np.ptp(pts, axis=0).max(), 12))
+    pts /= max(1.0, pts.max())  # --normalize shrinks, never stretches
+    grid = content_oracle.FrozenGrid(2, 12, emit_oracle.occupied_cells(pts, 12))
     assert 1500 < len(grid) < 3000
     assert open(grid_path).read() == emit_oracle.json_text(grid.to_json_dict())
     s, delta = 1.0, 0.1
