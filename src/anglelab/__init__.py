@@ -18,7 +18,6 @@ if _threads:
 del _os, _threads
 
 from .anglefind import (
-    ChainReport,
     RegularityParams,
     RightAngleWitness,
     TriangleWitness,
@@ -27,8 +26,6 @@ from .anglefind import (
     near_right_witness,
     ramsey_bound,
     regularity_params,
-    supplementary_chain,
-    supplementary_chain_report,
 )
 from .content import (
     ContentResult,
@@ -76,7 +73,6 @@ __all__ = [
     "AngleLabError",
     "AngleInterval",
     "AvoidanceCertificate",
-    "ChainReport",
     "ContentResult",
     "DyadicGrid",
     "Homothety",
@@ -114,7 +110,5 @@ __all__ = [
     "separation_gap",
     "similarity_dimension",
     "spectrum_hits",
-    "supplementary_chain",
-    "supplementary_chain_report",
     "well_spread_subset",
 ]

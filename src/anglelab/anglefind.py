@@ -1,12 +1,12 @@
 """Witness searches in finite point clouds: almost-regular triangles via
 interval coloring, near-right angles via projection of a well-spread
-subset, extreme (near-0/180) angles, and the supplementary-angle chain.
+subset, and extreme (near-0/180) angles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,20 +25,16 @@ from .geom import (
     PointCloud,
     TripleWitness,
     _apex_cosines,
-    _apex_pair_angles,
+    # benchmarks/tracing.py hooks it through anglefind
+    _apex_pair_angles,  # noqa: F401
     _cloud_threshold,
     _projection_pair,
     _triple_witness,
-    _unit_angle,
     _witness_json,
 )
 
 # Finest scale tried when hunting the distance shell [a, 4a].
 TRIANGLE_SCAN_MAX_K = 40
-# Chain searches rank arms by distance and keep this many per apex.
-CHAIN_ARM_CAP = 64
-# Number of starting triples the chain tries before settling.
-CHAIN_START_CAP = 16
 # The extreme search measures the pairs whose cosine lies this close to
 # the extreme cosine of their apex.
 EXTREME_MARGIN = 1e-9
@@ -284,182 +280,3 @@ def near_extreme_witness(cloud: PointCloud, target: str) -> TripleWitness:
     if best is None:
         raise TooFewPoints("no apex has two distinct arms")
     return _triple_witness(pts, *best, threshold)
-
-
-def _window_triples(
-    pts: np.ndarray,
-    active: np.ndarray,
-    lo: float,
-    hi: float,
-    threshold: float,
-    max_candidates: int,
-    limits: set[str] | None = None,
-) -> list[tuple[int, int, int]]:
-    """Up to max_candidates triples (p, q, r) with angle at q in (lo, hi).
-
-    Per apex, in index order, only the CHAIN_ARM_CAP farthest arms are
-    paired ("CHAIN_ARM_CAP" goes into `limits`, if given, when it binds);
-    the in-window pair with the longest shorter arm wins, its farther arm
-    labeled p.
-    """
-    found: list[tuple[int, int, int]] = []
-    for q_pos in range(len(active)):
-        q = int(active[q_pos])
-        others = np.concatenate([active[:q_pos], active[q_pos + 1 :]])
-        if others.shape[0] < 2:
-            break
-        vec = pts[others] - pts[q]
-        norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
-        ok = norms > threshold
-        others, norms = others[ok], norms[ok]
-        if limits is not None and others.shape[0] > CHAIN_ARM_CAP:
-            limits.add("CHAIN_ARM_CAP")
-        order = np.lexsort((others, -norms))[:CHAIN_ARM_CAP]
-        others, norms = others[order], norms[order]
-        # apex at row 0, then the capped arms in distance order
-        block = _apex_pair_angles(pts[np.concatenate([[q], others])], 0, threshold)
-        if block is None:
-            continue
-        _, iu, ju, ang = block
-        window = (ang > lo) & (ang < hi)
-        if not window.any():
-            continue
-        shorter = np.minimum(norms[iu], norms[ju])
-        shorter[~window] = -1.0
-        pos = int(np.argmax(shorter))
-        p_arm, r_arm = int(others[iu[pos]]), int(others[ju[pos]])
-        found.append((p_arm, q, r_arm))
-        if len(found) >= max_candidates:
-            break
-    return found
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Outcome of one supplementary-angle chain run (heuristic search);
-    `limits_hit` names, sorted, the caps that bound anywhere in it."""
-
-    witness: TripleWitness
-    steps: int
-    direction_gap: float
-    pair: tuple[int, int]
-    limits_hit: tuple[str, ...] = ()
-
-    def to_json_dict(self, params: dict | None = None) -> dict:
-        params = {
-            **(params or {}),
-            "steps": self.steps,
-            "achieved_gap": self.direction_gap,
-            "heuristic": True,
-        }
-        if self.limits_hit:
-            params["limits_hit"] = list(self.limits_hit)
-        return self.witness.to_json_dict("supplementary", params)
-
-
-def _chain_from(
-    pts: np.ndarray,
-    start: tuple[int, int, int],
-    lo: float,
-    hi: float,
-    epsilon: float,
-    max_steps: int,
-    threshold: float,
-    limits: set[str],
-) -> Optional[ChainReport]:
-    triples = [start]
-    while len(triples) < max_steps:
-        p, q, r = triples[-1]
-        radius = epsilon * min(
-            float(np.linalg.norm(pts[q] - pts[p])),
-            float(np.linalg.norm(pts[q] - pts[r])),
-        )
-        ball = np.nonzero(np.linalg.norm(pts - pts[p], axis=1) <= radius)[0]
-        if ball.shape[0] < 3:
-            break
-        nxt = _window_triples(pts, ball, lo, hi, threshold, 1, limits)
-        if not nxt:
-            break
-        triples.append(nxt[0])
-    if len(triples) < 2:
-        return None
-    dirs = [pts[p] - pts[q] for p, q, _ in triples]
-    dirs = [v / math.sqrt(float(v @ v)) for v in dirs]
-    best_gap = math.inf
-    best_pair: tuple[int, int] | None = None
-    for a in range(len(triples) - 1):
-        for b in range(a + 1, len(triples)):
-            q_a, q_b, r_b = triples[a][1], triples[b][1], triples[b][2]
-            if q_a == q_b or r_b == q_b:
-                continue
-            gap = _unit_angle(dirs[a], dirs[b])
-            if gap < best_gap:
-                best_gap = gap
-                best_pair = (a, b)
-    if best_pair is None:
-        return None
-    a, b = best_pair
-    witness = _triple_witness(pts, triples[b][1], triples[a][1], triples[b][2], threshold)
-    return ChainReport(witness, len(triples), best_gap, (a, b))
-
-
-def supplementary_chain_report(
-    cloud: PointCloud,
-    alpha: float,
-    delta: float,
-    epsilon: float,
-    max_steps: int,
-    limits_hit: list[str] | None = None,
-) -> Optional[ChainReport]:
-    """Chase angles near alpha through shrinking neighborhoods (a heuristic;
-    see the README).
-
-    Each step finds a triple with apex angle in (alpha - delta, alpha +
-    delta) within the epsilon * min(arm)-ball around the previous p; two
-    steps with nearly parallel q->p directions exhibit an angle near
-    180 - alpha.  Returns None when no chain of length 2 forms.
-    """
-    if not (delta > 0.0 and alpha + delta > 0.0 and alpha - delta < 180.0):
-        raise InvalidWindow("the angle window around alpha is empty")
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidWindow("direction tolerance must lie in (0, 1)")
-    if len(cloud) < 3:
-        raise TooFewPoints("need at least 3 points")
-    pts = cloud.points
-    n = pts.shape[0]
-    threshold = _cloud_threshold(pts)
-    lo, hi = alpha - delta, alpha + delta
-    limits: set[str] = set()
-    starts = _window_triples(pts, np.arange(n), lo, hi, threshold, CHAIN_START_CAP, limits)
-    if len(starts) == CHAIN_START_CAP and starts[-1][1] < n - 1:
-        limits.add("CHAIN_START_CAP")
-
-    def reported(report: Optional[ChainReport]) -> Optional[ChainReport]:
-        names = tuple(sorted(limits))
-        if limits_hit is not None:
-            limits_hit.extend(names)
-        return None if report is None else replace(report, limits_hit=names)
-
-    best: Optional[ChainReport] = None
-    for p, q, r in starts:
-        for labeled in ((p, q, r), (r, q, p)):
-            report = _chain_from(pts, labeled, lo, hi, epsilon, max_steps, threshold, limits)
-            if report is None:
-                continue
-            if report.direction_gap < epsilon:
-                return reported(report)
-            if best is None or report.direction_gap < best.direction_gap:
-                best = report
-    return reported(best)
-
-
-def supplementary_chain(
-    cloud: PointCloud,
-    alpha: float,
-    delta: float,
-    epsilon: float,
-    max_steps: int,
-) -> Optional[TripleWitness]:
-    """Witness triple with angle near 180 - alpha, or None if the chain dies."""
-    report = supplementary_chain_report(cloud, alpha, delta, epsilon, max_steps)
-    return None if report is None else report.witness

@@ -133,7 +133,13 @@ def from_points(
         raise AngleLabError("points must lie inside the unit cube")
     _check_grid(d, m)
     side = 1 << m
-    idx = np.clip(np.ceil(pts * side).astype(np.int64) - 1, 0, side - 1)
+    cells = pts * side
+    # ceil(x) - 1 in one float and one integer buffer, clamped to [1, side]
+    # before the cast: uint64 holds side = 2^63 at m = 63
+    np.clip(np.ceil(cells, out=cells), 1, side, out=cells)
+    idx = cells.astype(np.uint64)
+    idx -= 1
+    idx = idx.view(np.int64)
     order, new = _row_groups(idx)
     return DyadicGrid._of_rows(d, m, idx[order[new]])
 

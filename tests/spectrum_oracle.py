@@ -8,11 +8,8 @@ key's first draw with a stable `np.unique`; `spectrum_payload` is the
 apex with `apex_pair_angles`, the per-apex angle block as it was before the
 library split it into a cosine kernel and an index pair built once per arm
 count.  `near_extreme_witness` keeps the apex loop that measured every
-pair, and `supplementary_chain_report` its own copy of the per-apex angle
-block (`window_triples`) and of the direction angle
-(`vector_angle_degrees`), as they were before both read the library's one
-kernel; the chain also records which of its two caps bound, as
-`limits_hit`.  Tests compare the library against these.
+pair, and `vector_angle_degrees` the direction angle as it was before it
+read the library's `_unit_angle`.  Tests compare the library against these.
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ import math
 
 import numpy as np
 
-from anglelab.anglefind import CHAIN_ARM_CAP, CHAIN_START_CAP, ChainReport
-from anglelab.errors import AngleLabError, InvalidWindow, TooFewPoints
+from anglelab.errors import AngleLabError, TooFewPoints
 from anglelab.geom import TripleWitness, _cloud_threshold, _total_triples, angle_at
 
 
@@ -217,109 +213,3 @@ def vector_angle_degrees(u, v):
         math.sqrt(float((un + vn) @ (un + vn))),
     )
     return math.degrees(2.0 * half)
-
-
-def window_triples(pts, active, lo, hi, threshold, max_candidates, limits=None):
-    found = []
-    for q_pos in range(len(active)):
-        q = int(active[q_pos])
-        others = np.concatenate([active[:q_pos], active[q_pos + 1 :]])
-        if others.shape[0] < 2:
-            break
-        vec = pts[others] - pts[q]
-        norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
-        ok = norms > threshold
-        others, vec, norms = others[ok], vec[ok], norms[ok]
-        if others.shape[0] < 2:
-            continue
-        if limits is not None and others.shape[0] > CHAIN_ARM_CAP:
-            limits.add("CHAIN_ARM_CAP")
-        order = np.lexsort((others, -norms))[:CHAIN_ARM_CAP]
-        others, vec, norms = others[order], vec[order], norms[order]
-        unit = vec / norms[:, None]
-        ang = np.degrees(np.arccos(np.clip(unit @ unit.T, -1.0, 1.0)))
-        iu, ju = np.triu_indices(others.shape[0], k=1)
-        window = (ang[iu, ju] > lo) & (ang[iu, ju] < hi)
-        if not window.any():
-            continue
-        shorter = np.minimum(norms[iu], norms[ju])
-        shorter[~window] = -1.0
-        pos = int(np.argmax(shorter))
-        p_arm, r_arm = int(others[iu[pos]]), int(others[ju[pos]])
-        found.append((p_arm, q, r_arm))
-        if len(found) >= max_candidates:
-            break
-    return found
-
-
-def _chain_from(pts, start, lo, hi, epsilon, max_steps, threshold, limits):
-    triples = [start]
-    while len(triples) < max_steps:
-        p, q, r = triples[-1]
-        radius = epsilon * min(
-            float(np.linalg.norm(pts[q] - pts[p])),
-            float(np.linalg.norm(pts[q] - pts[r])),
-        )
-        ball = np.nonzero(np.linalg.norm(pts - pts[p], axis=1) <= radius)[0]
-        if ball.shape[0] < 3:
-            break
-        nxt = window_triples(pts, ball, lo, hi, threshold, 1, limits)
-        if not nxt:
-            break
-        triples.append(nxt[0])
-    if len(triples) < 2:
-        return None
-    dirs = [pts[p] - pts[q] for p, q, _ in triples]
-    best_gap = math.inf
-    best_pair = None
-    for a in range(len(triples) - 1):
-        for b in range(a + 1, len(triples)):
-            q_a, q_b, r_b = triples[a][1], triples[b][1], triples[b][2]
-            if q_a == q_b or r_b == q_b:
-                continue
-            gap = vector_angle_degrees(dirs[a], dirs[b])
-            if gap < best_gap:
-                best_gap = gap
-                best_pair = (a, b)
-    if best_pair is None:
-        return None
-    a, b = best_pair
-    apex = tuple(float(x) for x in pts[triples[b][1]])
-    arm1 = tuple(float(x) for x in pts[triples[a][1]])
-    arm2 = tuple(float(x) for x in pts[triples[b][2]])
-    angle = angle_at(apex, arm1, arm2, threshold=threshold)
-    witness = TripleWitness(apex, arm1, arm2, angle)
-    return ChainReport(witness, len(triples), best_gap, (a, b))
-
-
-def supplementary_chain_report(cloud, alpha, delta, epsilon, max_steps):
-    if delta <= 0.0 or alpha + delta <= 0.0 or alpha - delta >= 180.0:
-        raise InvalidWindow("the angle window around alpha is empty")
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidWindow("direction tolerance must lie in (0, 1)")
-    if len(cloud) < 3:
-        raise TooFewPoints("need at least 3 points")
-    pts = cloud.points
-    threshold = _cloud_threshold(pts)
-    lo, hi = alpha - delta, alpha + delta
-    limits = set()
-    starts = window_triples(pts, np.arange(pts.shape[0]), lo, hi, threshold, CHAIN_START_CAP, limits)
-    # the start scan stopped at the cap if an apex after the last start was left
-    if len(starts) == CHAIN_START_CAP and starts[-1][1] != pts.shape[0] - 1:
-        limits.add("CHAIN_START_CAP")
-    best = None
-    for p, q, r in starts:
-        for labeled in ((p, q, r), (r, q, p)):
-            report = _chain_from(pts, labeled, lo, hi, epsilon, max_steps, threshold, limits)
-            if report is None:
-                continue
-            if report.direction_gap < epsilon:
-                return _with_limits(report, limits)
-            if best is None or report.direction_gap < best.direction_gap:
-                best = report
-    return None if best is None else _with_limits(best, limits)
-
-
-def _with_limits(report, limits):
-    return ChainReport(report.witness, report.steps, report.direction_gap, report.pair,
-                       tuple(sorted(limits)))

@@ -5,7 +5,6 @@ import pytest
 
 from anglelab import PointCloud
 from anglelab.anglefind import (
-    ChainReport,
     RegularityParams,
     RightAngleWitness,
     TriangleWitness,
@@ -16,8 +15,6 @@ from anglelab.anglefind import (
     near_right_witness,
     ramsey_bound,
     regularity_params,
-    supplementary_chain,
-    supplementary_chain_report,
 )
 from anglelab.errors import (
     AngleLabError,
@@ -364,134 +361,15 @@ def test_near_extreme_input_validation():
         near_extreme_witness(PointCloud([(0.0, 0.0), (1.0, 0.0)]), "zero")
 
 
-def test_chain_dense_grid_tight_tolerance():
-    report = supplementary_chain_report(unit_grid(64), 60.0, 2.0, 0.05, 12)
-    assert report is not None
-    assert report.steps == 2
-    assert report.witness.angle == pytest.approx(110.09523119190483, abs=1e-9)
-    assert report.direction_gap == pytest.approx(10.553873698269532, abs=1e-9)
-    # the achieved gap widens the certified window around 180 - 60 +- 2
-    lo = 118.0 - report.direction_gap
-    hi = 122.0 + report.direction_gap
-    assert lo < report.witness.angle < hi
-    assert report.witness.recompute() == pytest.approx(report.witness.angle, abs=1e-9)
-
-
-def test_chain_dense_grid_loose_tolerance():
-    report = supplementary_chain_report(unit_grid(64), 60.0, 2.0, 0.25, 12)
-    assert report is not None
-    assert report.steps == 3
-    assert report.direction_gap < 0.25
-    assert report.witness.angle == pytest.approx(120.56922411778741, abs=1e-9)
-    assert 118.0 - report.direction_gap < report.witness.angle < 122.0 + report.direction_gap
-
-
-def test_chain_triangular_lattice_hits_120():
-    lat = PointCloud(
-        [
-            ((i + 0.5 * j) / 20.0, j * math.sqrt(3) / 2.0 / 20.0)
-            for i in range(20)
-            for j in range(20)
-        ]
-    )
-    report = supplementary_chain_report(lat, 60.0, 2.0, 0.3, 10)
-    assert report is not None
-    assert report.witness.angle == pytest.approx(120.0, abs=1e-9)
-    assert report.direction_gap == pytest.approx(0.0, abs=1e-12)
-    assert report.steps == 3
-
-
-def test_chain_absent_when_window_never_starts():
-    # a unit square contains only 45 and 90 degree angles
-    square = PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-    assert supplementary_chain(square, 77.0, 1.0, 0.25, 6) is None
-
-
-def test_chain_json_shape():
-    report = supplementary_chain_report(unit_grid(64), 60.0, 2.0, 0.25, 12)
-    out = report.to_json_dict({"alpha": 60.0})
-    assert out["kind"] == "supplementary"
-    assert out["params"]["heuristic"] is True
-    assert out["params"]["steps"] == 3
-    assert out["params"]["achieved_gap"] == report.direction_gap
-    assert out["metric"] == report.witness.angle
-
-
 def test_witness_payloads_copy_their_params():
-    report = supplementary_chain_report(unit_grid(64), 60.0, 2.0, 0.25, 12)
-    params = {"alpha": 60.0}
-    out = report.to_json_dict(params)
-    assert params == {"alpha": 60.0}
-    assert list(out["params"].items()) == [
-        ("alpha", 60.0),
-        ("steps", 3),
-        ("achieved_gap", report.direction_gap),
-        ("heuristic", True),
-        ("limits_hit", ["CHAIN_ARM_CAP", "CHAIN_START_CAP"]),
-    ]
+    witness = near_extreme_witness(EQUILATERAL, "zero")
+    params = {"target": "zero"}
     corners = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
     for out in (
-        report.witness.to_json_dict("supplementary", params),
+        witness.to_json_dict("extreme", params),
         RectangleWitness(corners, 0.0).to_json_dict(params),
     ):
         assert out["params"] == params
         assert out["params"] is not params
-
-
-def triangular_lattice(side: int) -> list:
-    return [
-        ((i + 0.5 * j) / side, j * math.sqrt(3) / 2.0 / side)
-        for i in range(side)
-        for j in range(side)
-    ]
-
-
-@pytest.mark.parametrize(
-    "points, limits_hit",
-    [
-        # 16 points: every apex starts a chain, the 16th start is the last apex
-        (triangular_lattice(4), ()),
-        # 64 points: 63 arms per apex; the 16th start leaves apexes unscanned
-        (triangular_lattice(8), ("CHAIN_START_CAP",)),
-        # 9 lattice points and 60 far collinear ones: 68 arms, 9 starts
-        (triangular_lattice(3) + [(10.0 + k / 100, 100.0) for k in range(60)], ("CHAIN_ARM_CAP",)),
-        (triangular_lattice(20), ("CHAIN_ARM_CAP", "CHAIN_START_CAP")),
-    ],
-)
-def test_chain_reports_the_caps_that_bind(points, limits_hit):
-    report = supplementary_chain_report(PointCloud(points), 60.0, 2.0, 0.5, 10)
-    assert report.limits_hit == limits_hit
-    params = report.to_json_dict({"alpha": 60.0})["params"]
-    if limits_hit:
-        assert params["limits_hit"] == list(limits_hit)
-    else:
-        assert "limits_hit" not in params
-
-
-@pytest.mark.parametrize("far", [60, 66])
-def test_chain_fills_limits_hit_on_every_return(far):
-    # with 66 far points the 64 farthest arms of every lattice apex are far
-    # points, so the arm cap hides the lattice arms and no chain forms
-    points = triangular_lattice(3) + [(10.0 + k / 100, 100.0) for k in range(far)]
-    limits_hit = ["earlier"]
-    report = supplementary_chain_report(PointCloud(points), 60.0, 2.0, 0.5, 10, limits_hit)
-    assert limits_hit == ["earlier", "CHAIN_ARM_CAP"]
-    if far == 66:
-        assert report is None
-    else:
-        assert report.limits_hit == ("CHAIN_ARM_CAP",)
-
-
-def test_chain_input_validation():
-    cloud = unit_grid(4)
-    with pytest.raises(InvalidWindow):
-        supplementary_chain(cloud, 60.0, 0.0, 0.25, 6)
-    with pytest.raises(InvalidWindow):
-        supplementary_chain(cloud, 200.0, 10.0, 0.25, 6)
-    with pytest.raises(InvalidWindow):
-        supplementary_chain(cloud, -5.0, 2.0, 0.25, 6)
-    for eps in (0.0, 1.0, -0.2):
-        with pytest.raises(InvalidWindow):
-            supplementary_chain(cloud, 60.0, 2.0, eps, 6)
-    with pytest.raises(TooFewPoints):
-        supplementary_chain(PointCloud([(0.0, 0.0), (1.0, 0.0)]), 60.0, 2.0, 0.25, 6)
+        out["params"]["target"] = "straight"
+        assert params == {"target": "zero"}

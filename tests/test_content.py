@@ -233,6 +233,17 @@ def test_from_points_rejects_levels_past_int64_before_the_cast():
         from_points(PointCloud([(1.5,)]), 64, budget=1 << 100)
 
 
+@pytest.mark.parametrize("m", [62, 63])
+def test_from_points_puts_the_cube_ends_in_their_exact_cells(m):
+    # (1 - 2^-53) * 2^m is the integer 2^m - 2^(m-53), the top of its cell
+    cloud = PointCloud([(0.0,), (1.0,), (1.0 - 2.0**-53,)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = from_points(cloud, m, budget=1 << 100)
+    side = 1 << m
+    assert grid.cell_rows().tolist() == [[0], [side - (1 << (m - 53)) - 1], [side - 1]]
+
+
 def test_content_fully_occupied_is_one():
     full = DyadicGrid(2, 1, frozenset((i, j) for i in range(2) for j in range(2)))
     for s in (0.5, 1.0, 2.0):
