@@ -447,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, MemoryError) as exc:
         print(f"anglelab: budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (AngleLabError, OSError, KeyError, ValueError, RecursionError) as exc:

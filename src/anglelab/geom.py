@@ -412,13 +412,44 @@ def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
     return arms, iu, ju, ang
 
 
+def _fresh_keys(rng, n: int, take: int, kept: np.ndarray) -> np.ndarray:
+    """Keys (apex*n + i)*n + j, i < j, of one round of `take` draws: each
+    valid key not in `kept` once, at its first draw, in draw order.  A
+    key's first draw is the least draw index in its run of the unstable
+    sort."""
+    a = rng.integers(0, n, size=take)
+    i = rng.integers(0, n, size=take)
+    j = rng.integers(0, n, size=take)
+    valid = a != i
+    valid &= a != j
+    valid &= i != j
+    # (a*n + lo)*n + hi in the draw arrays, as a*n*n + i + j + lo*(n - 1)
+    a *= n * n
+    a += i
+    a += j
+    np.minimum(i, j, out=i)
+    i *= n - 1
+    a += i
+    del i, j
+    drawn = a[valid]
+    del a, valid
+    order = np.argsort(drawn)
+    ranked = drawn[order]
+    runs = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    first = np.minimum.reduceat(order, runs)
+    del order
+    first = first[~np.isin(ranked[runs], kept, assume_unique=True)]
+    fresh = np.zeros(len(drawn), dtype=bool)
+    fresh[first] = True
+    return drawn[fresh]
+
+
 def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
     """Sorted seeded sample of `budget` distinct (apex, i, j) triples, i < j.
 
     Each round draws index triples and keeps, in draw order, the valid
     ones not kept before; the caller ensures more than `budget` exist.
-    Keys (apex*n + i)*n + j bound n by 2^21 - 1.  A key's first draw is
-    the least draw index in its run of the unstable sort.
+    Keys (apex*n + i)*n + j bound n by 2^21 - 1.
     """
     if n**3 > np.iinfo(np.int64).max:
         raise BudgetExceeded(f"sampled triple scans take at most 2097151 points, not {n}")
@@ -426,19 +457,7 @@ def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
     kept = np.empty(0, dtype=np.int64)  # sorted keys
     while len(kept) < budget:
         take = max(1024, 2 * (budget - len(kept)))
-        a = rng.integers(0, n, size=take)
-        i = rng.integers(0, n, size=take)
-        j = rng.integers(0, n, size=take)
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        drawn = ((a * n + i) * n + j)[(a != i) & (a != j) & (i != j)]
-        order = np.argsort(drawn)
-        ranked = drawn[order]
-        runs = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        first = np.minimum.reduceat(order, runs)
-        first = first[~np.isin(ranked[runs], kept, assume_unique=True)]
-        fresh = np.zeros(len(drawn), dtype=bool)
-        fresh[first] = True
-        new = np.sort(drawn[fresh][: budget - len(kept)])
+        new = np.sort(_fresh_keys(rng, n, take, kept)[: budget - len(kept)])
         kept = np.insert(kept, np.searchsorted(kept, new), new)
     return np.stack([kept // (n * n), kept // n % n, kept % n], axis=1)
 
@@ -453,7 +472,10 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
 
     Triples with an arm no longer than the cloud's degeneracy threshold
     are left out.  Fewer than 3 points, or a budget below 1, are
-    rejected before any triple is measured.
+    rejected before any triple is measured.  The exhaustive stream has
+    one block per apex; the sampled one measures consecutive rows of the
+    sorted sample, PAIR_BLOCK // d at a time, and holds arrays of one
+    such block besides the sample.
     """
     n = pts.shape[0]
     if n < 3:
@@ -462,16 +484,25 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
         raise AngleLabError(f"triple sample budget must be at least 1, not {budget}")
     threshold = _cloud_threshold(pts)
     if budget is not None and budget < _total_triples(n):
-        a, i, j = _sampled_triples(n, budget, seed).T
-        u = pts[i] - pts[a]
-        v = pts[j] - pts[a]
-        nu = np.sqrt(np.einsum("ij,ij->i", u, u))
-        nv = np.sqrt(np.einsum("ij,ij->i", v, v))
-        ok = (nu > threshold) & (nv > threshold)
-        u = u[ok] / nu[ok][:, None]
-        v = v[ok] / nv[ok][:, None]
-        cos = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
-        yield a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
+        sample = _sampled_triples(n, budget, seed)
+        cols = pts.T.copy()  # see dimension._sq_dists
+        rows = max(1, PAIR_BLOCK // len(cols))
+        for lo in range(0, budget, rows):
+            a, i, j = sample[lo : lo + rows].T
+            u = np.empty((len(a), len(cols)))
+            v = np.empty_like(u)
+            for c, col in enumerate(cols):
+                np.subtract(col[i], col[a], out=u[:, c])
+                np.subtract(col[j], col[a], out=v[:, c])
+            nu = np.sqrt(np.einsum("ij,ij->i", u, u))
+            nv = np.sqrt(np.einsum("ij,ij->i", v, v))
+            ok = (nu > threshold) & (nv > threshold)
+            u = u[ok]
+            u /= nu[ok][:, None]
+            v = v[ok]
+            v /= nv[ok][:, None]
+            cos = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
+            yield a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
         return
     try:
         for a in range(n):

@@ -3,11 +3,12 @@
 `sampled_triples`, `angle_spectrum` and `spectrum_hits` keep the bodies the
 library had before it measured every triple through one stream of array
 blocks, and `unique_sampled_triples` the array sampler that found each
-key's first draw with a stable `np.unique`; `spectrum_payload` is the
-`spectrum` subcommand's JSON built from them.  All three scans measure each
-apex with `apex_pair_angles`, the per-apex angle block as it was before the
-library split it into a cosine kernel and an index pair built once per arm
-count.  `near_extreme_witness` keeps the apex loop that measured every
+key's first draw with a stable `np.unique`; `sampled_block` measures that
+sample in one block, as the stream did before it went in row blocks;
+`spectrum_payload` is the `spectrum` subcommand's JSON built from them.
+All three scans measure each apex with `apex_pair_angles`, the per-apex
+angle block as it was before the library split it into a cosine kernel and
+an index pair built once per arm count.  `near_extreme_witness` keeps the apex loop that measured every
 pair, and `vector_angle_degrees` the direction angle as it was before it
 read the library's `_unit_angle`.  Tests compare the library against these.
 """
@@ -84,6 +85,22 @@ def unique_sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
         new = np.sort(drawn[np.sort(first)][: budget - len(kept)])
         kept = np.insert(kept, np.searchsorted(kept, new), new)
     return np.stack([kept // (n * n), kept // n % n, kept % n], axis=1)
+
+
+def sampled_block(pts, budget, seed):
+    """The sampled stream as one block (apex, arm1, arm2, angles), measured
+    with row gathers of the whole sample, as before it went in row blocks."""
+    threshold = _cloud_threshold(pts)
+    a, i, j = unique_sampled_triples(pts.shape[0], budget, seed).T
+    u = pts[i] - pts[a]
+    v = pts[j] - pts[a]
+    nu = np.sqrt(np.einsum("ij,ij->i", u, u))
+    nv = np.sqrt(np.einsum("ij,ij->i", v, v))
+    ok = (nu > threshold) & (nv > threshold)
+    u = u[ok] / nu[ok][:, None]
+    v = v[ok] / nv[ok][:, None]
+    cos = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
+    return a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
 
 
 def angle_spectrum(cloud, budget=None, seed=0):

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_spectrum_json_matches_reference_scan(capsys, tmp_path):
     normal = np.random.default_rng(8).normal(size=(14, 3))
     clouds = [gasket, write_cloud(tmp_path, {"dimension": 3, "points": normal.tolist()})]
     for path in clouds:
-        cloud = PointCloud.from_json_dict(json.loads(open(path).read()))
+        cloud = PointCloud.from_json_dict(json.loads(Path(path).read_text()))
         n = len(cloud)
         for alpha, radius in ((30.0, 5.0), (60.0, 5.0), (90.0, 0.5)):
             argv = ["spectrum", "--cloud", path, "--alpha", str(alpha), "--window", str(radius)]
@@ -146,6 +147,21 @@ def test_spectrum_rejects_budget_below_one(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "budget must be at least 1" in captured.err
+
+
+def test_spectrum_budget_beyond_memory_exits_as_budget_exceeded(capsys, tmp_path, monkeypatch):
+    # a numpy allocation failure stands in for a budget far above memory
+    def unallocatable(n, budget, seed):
+        raise MemoryError(f"Unable to allocate {budget * 24} bytes for the sample")
+
+    monkeypatch.setattr("anglelab.geom._sampled_triples", unallocatable)
+    normal = np.random.default_rng(3).normal(size=(40, 2)).tolist()
+    cloud = write_cloud(tmp_path, {"dimension": 2, "points": normal})
+    argv = ["spectrum", "--cloud", cloud, "--alpha", "60", "--window", "5", "--budget", "1000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "anglelab: budget exceeded: Unable to allocate 24000 bytes for the sample\n"
 
 
 def test_spectrum_without_a_hit_measures_each_apex_once(capsys, tmp_path, monkeypatch):
@@ -203,7 +219,7 @@ def test_triangle_and_minkdim_json_match_the_full_scans(capsys, tmp_path):
         write_cloud(tmp_path, {"dimension": 5, "points": rng.random((150, 5)).tolist()}, "r5.json"),
     ]
     for path in clouds:
-        cloud = PointCloud.from_json_dict(json.loads(open(path).read()))
+        cloud = PointCloud.from_json_dict(json.loads(Path(path).read_text()))
         for delta in (0.3, 1.0):
             code = main(["triangle", "--cloud", path, "--delta", str(delta)])
             want = pack_oracle.triangle_payload(cloud, delta)
@@ -307,7 +323,7 @@ def test_content_and_zoom_json_match_the_reference_tree(capsys, tmp_path):
         tmp_path, {"dimension": 4, "levels": 3, "occupied": cells.tolist()}, "random-grid.json"
     )
     for path, s, delta in ((gasket, 1.9, 0.2), (random4, 2.5, 0.3), (random4, 3.7, 0.1)):
-        grid = DyadicGrid.from_json_dict(json.loads(open(path).read()))
+        grid = DyadicGrid.from_json_dict(json.loads(Path(path).read_text()))
         assert main(["content", "--grid", path, "--s", str(s)]) == 0
         want = content_oracle.content_payload(grid, s)
         assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
@@ -326,12 +342,12 @@ def test_rasterize_content_zoom_bytes_match_the_oracle_payloads(capsys, tmp_path
     assert main(["gasket", "--n", "2", "--delta", "0.25", "--depth", "6", "--out", cloud_path]) == 0
     argv = ["rasterize", "--cloud", cloud_path, "--m", "12", "--normalize", "--budget", str(1 << 24)]
     assert main(argv + ["--out", grid_path]) == 0
-    cloud = PointCloud.from_json_dict(json.loads(open(cloud_path).read()))
+    cloud = PointCloud.from_json_dict(json.loads(Path(cloud_path).read_text()))
     pts = cloud.points - cloud.points.min(axis=0)
     pts /= max(1.0, pts.max())  # --normalize shrinks, never stretches
     grid = content_oracle.FrozenGrid(2, 12, emit_oracle.occupied_cells(pts, 12))
     assert 1500 < len(grid) < 3000
-    assert open(grid_path).read() == emit_oracle.json_text(grid.to_json_dict())
+    assert Path(grid_path).read_text() == emit_oracle.json_text(grid.to_json_dict())
     s, delta = 1.0, 0.1
     assert main(["content", "--grid", grid_path, "--s", str(s)]) == 0
     assert capsys.readouterr().out == emit_oracle.json_text(content_oracle.content_payload(grid, s))
@@ -351,10 +367,10 @@ def test_duplicate_and_unsorted_grid_rows_collapse(capsys, tmp_path):
         codes = [main(argv + ["--grid", path]) for path in (messy, clean)]
         first, second = capsys.readouterr().out.split("}\n{")
         assert codes[0] == codes[1] and first + "}\n" == "{" + second
-    data = json.loads(open(messy).read())
+    data = json.loads(Path(messy).read_text())
     grid = DyadicGrid.from_json_dict(data)
     assert grid.cell_rows().tolist() == [[0, 1], [1, 1], [3, 0]] and len(grid) == 3
-    assert grid == DyadicGrid.from_json_dict(json.loads(open(clean).read()))
+    assert grid == DyadicGrid.from_json_dict(json.loads(Path(clean).read_text()))
     assert grid.occupied == content_oracle.FrozenGrid.from_json_dict(data).occupied
 
 

@@ -1,5 +1,7 @@
 """The triple-angle stream against the scalar reference scans in spectrum_oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -9,15 +11,18 @@ import spectrum_oracle as oracle
 from anglelab.anglefind import near_extreme_witness
 from anglelab.errors import AngleLabError, BudgetExceeded
 from anglelab.geom import (
+    PAIR_BLOCK,
     AngleInterval,
     PointCloud,
     _sampled_triples,
     _total_triples,
+    _triple_angle_blocks,
     _unit_angle,
     angle_at,
     angle_spectrum,
     spectrum_hits,
 )
+from anglelab.ifs import gasket_ifs, iterate_cloud
 
 SETTINGS = settings(
     max_examples=60,
@@ -125,6 +130,66 @@ def test_sampled_scan_measures_the_reference_triples(n, d, seed, data):
     assert _fields(spectrum_hits(cloud, window, budget=budget, seed=seed)) == _fields(
         oracle.spectrum_hits(cloud, window, budget=budget, seed=seed)
     )
+
+
+def _highdim_points():
+    """gasket(5, 0.005) at depth 3: 1,296 points in R^5, 1.1e9 triples."""
+    ifs = gasket_ifs(5, 0.005)
+    return iterate_cloud(ifs, 3, ifs.centers()).points
+
+
+@st.composite
+def sampled_scans(draw):
+    """(points, budget) with budgets over one to three row blocks of the
+    sampled stream; some clouds have near-duplicate points, so some
+    sampled triples have an arm below the threshold."""
+    d = draw(st.integers(1, 5))
+    rows = PAIR_BLOCK // d
+    blocks = draw(st.integers(1, 3))
+    budget = draw(st.integers((blocks - 1) * rows + 1, blocks * rows))
+    n = 3
+    while _total_triples(n) <= budget:
+        n += 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n + draw(st.integers(0, 20)), d))
+    twins = draw(st.integers(0, 6))
+    pts = np.vstack([pts, pts[:twins] + 1e-15])
+    return PointCloud(pts).points, budget
+
+
+@SETTINGS
+@given(sampled_scans(), st.integers(0, 2**32 - 1))
+@example((_highdim_points(), 40000), 5)  # the highdim workload's sampled spectrum
+def test_sampled_blocks_are_bitwise_the_one_block_measurement(scan, seed):
+    pts, budget = scan
+    blocks = list(_triple_angle_blocks(pts, budget, seed))
+    rows = PAIR_BLOCK // pts.shape[1]
+    assert len(blocks) == -(-budget // rows)
+    got = [np.concatenate(column) for column in zip(*blocks)]
+    want = oracle.sampled_block(pts, budget, seed)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert got[3].dtype == want[3].dtype == np.float64
+    assert np.array_equal(got[3].view(np.int64), want[3].view(np.int64))
+
+
+def test_sampled_stream_holds_one_block_besides_the_sample():
+    pts = _highdim_points()
+    _sampled_triples(len(pts), 1, 0)  # numpy.random's first import is not the scan's
+    tracemalloc.start()
+    try:
+        _sampled_triples(len(pts), 40000, 5)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in _triple_angle_blocks(pts, 40000, 5):
+            pass
+        stream_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 40,000-triple sample is 0.9 MiB; one block of 13,107 rows in R^5,
+    # 0.5 MiB per float array
+    assert sample_peak < 3.5 * 2**20
+    assert stream_peak < 4 * 2**20
 
 
 def test_sampler_refuses_clouds_beyond_its_key_range():
