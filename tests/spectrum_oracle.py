@@ -8,9 +8,10 @@ sample in one block, as the stream did before it went in row blocks;
 `spectrum_payload` is the `spectrum` subcommand's JSON built from them.
 All three scans measure each apex with `apex_pair_angles`, the per-apex
 angle block as it was before the library split it into a cosine kernel and
-an index pair built once per arm count.  `near_extreme_witness` keeps the apex loop that measured every
-pair, and `vector_angle_degrees` the direction angle as it was before it
-read the library's `_unit_angle`.  Tests compare the library against these.
+an index pair built once per arm count.  `near_extreme_witness` keeps the
+apex loop that measured every pair, and `vector_angle_degrees` the
+direction angle as it was before it read the library's `_unit_angle`.
+Tests compare the library against these.
 """
 
 from __future__ import annotations
