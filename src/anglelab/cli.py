@@ -201,9 +201,7 @@ def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
 def _cmd_gasket(args) -> int:
     ifs = gasket_ifs(args.n, args.delta)
     cloud = iterate_cloud(ifs, args.depth, ifs.centers(), budget=args.budget)
-    # the layout of cloud.to_json_dict(), with the points left as an array
-    payload = {"dimension": cloud.dimension, "points": cloud.points}
-    return _emit(args, 0, payload, lambda: (cloud, [], []), csv=cloud.to_csv)
+    return _emit(args, 0, cloud._payload(), lambda: (cloud, [], []), csv=cloud.to_csv)
 
 
 def _cmd_certify(args) -> int:
@@ -300,40 +298,22 @@ def _cmd_rectangle(args) -> int:
     return _emit(args, 0, witness.to_json_dict(params), plot)
 
 
-def _grid_json(grid: DyadicGrid) -> dict:
-    """The layout of grid.to_json_dict(), with the cells left as an array."""
-    return {"dimension": grid.dimension, "levels": grid.levels, "occupied": grid.cell_rows()}
-
-
 def _cmd_content(args) -> int:
-    grid = _load_grid(args.grid)
-    result = dyadic_content(grid, args.s)
-    # the layout of result.to_json_dict(), with the cover as level and cell arrays
-    levels = np.array([level for level, _ in result.cover], dtype=np.int64)
-    cells = np.array([idx for _, idx in result.cover], dtype=np.int64)
-    cover = (levels, cells.reshape(-1, grid.dimension))
-    return _emit(args, 0, {"value": result.value, "exponent": result.exponent, "cover": cover})
+    result = dyadic_content(_load_grid(args.grid), args.s)
+    return _emit(args, 0, result._payload())
 
 
 def _cmd_zoom(args) -> int:
-    grid = _load_grid(args.grid)
-    result = microset_zoom(grid, args.s, args.delta)
-    # the layout of result.to_json_dict(), with the rescaled cells left as an array
-    payload = {
-        "cube": [result.cube[0], list(result.cube[1])],
-        "normalized_content": result.normalized_content,
-        "passes_claim": result.passes_claim,
-        "rescaled": _grid_json(result.rescaled),
-        "params": {"s": args.s, "delta": args.delta, "threshold": 2.0 ** (-args.s - 2.0)},
-    }
-    return _emit(args, 0 if result.passes_claim else 1, payload)
+    result = microset_zoom(_load_grid(args.grid), args.s, args.delta)
+    params = {"s": args.s, "delta": args.delta, "threshold": 2.0 ** (-args.s - 2.0)}
+    return _emit(args, 0 if result.passes_claim else 1, {**result._payload(), "params": params})
 
 
 def _cmd_rasterize(args) -> int:
     cloud = _load_cloud(args.cloud)
     if args.normalize:
         cloud = PointCloud(_normalize_unit(cloud.points), cloud.dimension)
-    return _emit(args, 0, _grid_json(from_points(cloud, args.m, budget=args.budget)))
+    return _emit(args, 0, from_points(cloud, args.m, budget=args.budget)._payload())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, handler):
         p = sub.add_parser(name, help=help_text, epilog=_EPILOG)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument(
             "--format",
@@ -355,44 +336,44 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = add("gasket", "generate a gasket iterate as a point cloud")
+    p = add("gasket", "generate a gasket iterate as a point cloud", _cmd_gasket)
     p.add_argument("--n", type=int, required=True, help="ambient simplex dimension")
     p.add_argument("--delta", type=float, required=True, help="contraction ratio")
     p.add_argument("--depth", type=int, required=True, help="iteration depth")
     p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
 
-    p = add("certify", "certify that an angle window is avoided at every depth")
+    p = add("certify", "certify that an angle window is avoided at every depth", _cmd_certify)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True, help="window center, degrees")
     p.add_argument("--window", type=float, required=True, help="window radius, degrees")
 
-    p = add("spectrum", "scan a cloud's apex angles against a window")
+    p = add("spectrum", "scan a cloud's apex angles against a window", _cmd_spectrum)
     p.add_argument("--cloud", required=True, help="cloud file (.json or .csv)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--budget", type=int, default=None, help="triple sample budget")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("minkdim", "estimate the upper Minkowski dimension of a cloud")
+    p = add("minkdim", "estimate the upper Minkowski dimension of a cloud", _cmd_minkdim)
     p.add_argument("--cloud", required=True)
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
 
-    p = add("triangle", "find an almost-regular triangle")
+    p = add("triangle", "find an almost-regular triangle", _cmd_triangle)
     p.add_argument("--cloud", required=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = add("rightangle", "find a near-right angle by projection")
+    p = add("rightangle", "find a near-right angle by projection", _cmd_rightangle)
     p.add_argument("--cloud", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
 
-    p = add("extreme", "find the smallest or largest angle")
+    p = add("extreme", "find the smallest or largest angle", _cmd_extreme)
     p.add_argument("--cloud", required=True)
     p.add_argument("--target", choices=("zero", "straight"), required=True)
 
-    p = add("rectangle", "find a near-rectangle from two gasket maps")
+    p = add("rectangle", "find a near-rectangle from two gasket maps", _cmd_rectangle)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--f", type=int, required=True, help="first map index")
@@ -400,16 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
 
-    p = add("content", "minimal dyadic-cover content of a grid")
+    p = add("content", "minimal dyadic-cover content of a grid", _cmd_content)
     p.add_argument("--grid", required=True, help="grid file (.json)")
     p.add_argument("--s", type=float, required=True, help="content exponent")
 
-    p = add("zoom", "zoom into the densest admissible cube of a grid")
+    p = add("zoom", "zoom into the densest admissible cube of a grid", _cmd_zoom)
     p.add_argument("--grid", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = add("rasterize", "mark the dyadic cells occupied by a cloud")
+    p = add("rasterize", "mark the dyadic cells occupied by a cloud", _cmd_rasterize)
     p.add_argument("--cloud", required=True)
     p.add_argument("--m", type=int, required=True, help="subdivision levels")
     p.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET)
@@ -422,21 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_HANDLERS = {
-    "gasket": _cmd_gasket,
-    "certify": _cmd_certify,
-    "spectrum": _cmd_spectrum,
-    "minkdim": _cmd_minkdim,
-    "triangle": _cmd_triangle,
-    "rightangle": _cmd_rightangle,
-    "extreme": _cmd_extreme,
-    "rectangle": _cmd_rectangle,
-    "content": _cmd_content,
-    "zoom": _cmd_zoom,
-    "rasterize": _cmd_rasterize,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser `main` uses, built on first use: parsing leaves it as it was."""
@@ -446,7 +412,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (BudgetExceeded, MemoryError) as exc:
         print(f"anglelab: budget exceeded: {exc}", file=sys.stderr)
         return 3

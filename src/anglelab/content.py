@@ -95,12 +95,12 @@ class DyadicGrid:
         """The occupied cells as lexicographically sorted int64 rows, (n, d)."""
         return self._rows
 
+    def _payload(self) -> dict:
+        """`to_json_dict()` with the cells left as the sorted int64 rows."""
+        return {"dimension": self.dimension, "levels": self.levels, "occupied": self._rows}
+
     def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "levels": self.levels,
-            "occupied": self._rows.tolist(),
-        }
+        return {**self._payload(), "occupied": self._rows.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DyadicGrid":
@@ -185,12 +185,16 @@ class ContentResult:
     exponent: float
     cover: tuple[Cube, ...]
 
+    def _payload(self) -> dict:
+        """`to_json_dict()` with the cover as int64 arrays (levels (k,), cells
+        (k, d)); d is 0 for an empty cover, whose cubes give no dimension."""
+        k, d = len(self.cover), len(self.cover[0][1]) if self.cover else 0
+        levels = np.array([level for level, _ in self.cover], dtype=np.int64)
+        cells = np.array([idx for _, idx in self.cover], dtype=np.int64).reshape(k, d)
+        return {"value": self.value, "exponent": self.exponent, "cover": (levels, cells)}
+
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "exponent": self.exponent,
-            "cover": [[level, list(idx)] for level, idx in self.cover],
-        }
+        return {**self._payload(), "cover": [[level, list(idx)] for level, idx in self.cover]}
 
 
 def dyadic_content(grid: DyadicGrid, s: float) -> ContentResult:
@@ -263,6 +267,15 @@ class ZoomResult:
     normalized_content: float
     passes_claim: bool
     rescaled: DyadicGrid
+
+    def _payload(self) -> dict:
+        """`to_json_dict()` with the rescaled grid as its `_payload()`."""
+        return {
+            "cube": [self.cube[0], list(self.cube[1])],
+            "normalized_content": self.normalized_content,
+            "passes_claim": self.passes_claim,
+            "rescaled": self.rescaled._payload(),
+        }
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,10 +1,11 @@
 """Packing numbers, Minkowski dimension estimates, well-spread subsets.
 
 Scale-indexed operations (dimension estimate, well-spread extraction)
-first translate the cloud's bounding box to the origin and divide by the
-largest per-axis extent, so the data sits in the unit cube and the
-dyadic scales 2^(-k) are meaningful.  The greedy packing primitive
-itself works on raw coordinates.
+first translate the cloud's bounding box to the origin, and divide by the
+largest per-axis extent only when it exceeds 1, so the data sits in the
+unit cube without being stretched and the dyadic scales 2^(-k) keep
+their meaning.  The greedy packing primitive itself works on raw
+coordinates.
 """
 
 from __future__ import annotations

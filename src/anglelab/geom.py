@@ -167,11 +167,15 @@ class PointCloud:
         spans = self._pts.max(axis=0) - self._pts.min(axis=0)
         return float(spans.max()) if spans.size else 0.0
 
-    def to_json_dict(self) -> dict:
-        out = {"dimension": self.dimension, "points": self._pts.tolist()}
+    def _payload(self) -> dict:
+        """`to_json_dict()` with the points left as the (n, d) array."""
+        out = {"dimension": self.dimension, "points": self._pts}
         if self.label is not None:
             out["label"] = self.label
         return out
+
+    def to_json_dict(self) -> dict:
+        return {**self._payload(), "points": self._pts.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointCloud":
@@ -330,8 +334,6 @@ def _witness_json(kind: str, points, metric: float | None, params: dict | None) 
 
 
 def _cloud_threshold(pts: np.ndarray) -> float:
-    if pts.shape[0] == 0:
-        return DEGENERACY_ABS
     spans = pts.max(axis=0) - pts.min(axis=0)
     diag = math.sqrt(float(spans @ spans))
     return max(DEGENERACY_ABS, DEGENERACY_REL * diag)

@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import pack_oracle
 import spectrum_oracle
 from anglelab import PointCloud
 from anglelab import cli
-from anglelab.cli import _HANDLERS, build_parser, main
+from anglelab.cli import build_parser, main
 from anglelab.content import DyadicGrid
 from anglelab.errors import AngleLabError
 from anglelab.geom import AngleInterval, _apex_pair_angles
@@ -37,6 +40,12 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out else None
 
 
+def subcommands(parser):
+    """The subparsers of `parser`, by name."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_subcommand_inventory():
     expected = {
         "gasket",
@@ -51,8 +60,20 @@ def test_subcommand_inventory():
         "zoom",
         "rasterize",
     }
-    assert set(_HANDLERS) == expected
-    build_parser()
+    parsers = subcommands(build_parser())
+    assert set(parsers) == expected
+    assert all(callable(p.get_default("handler")) for p in parsers.values())
+
+
+def test_readme_examples_parse_and_cover_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("anglelab ")]
+    parser = build_parser()
+    for argv in examples:
+        assert callable(parser.parse_args(argv).handler), argv
+    assert {argv[0] for argv in examples} == set(subcommands(parser))
 
 
 def test_gasket_depth_one_has_nine_points(capsys):
@@ -66,9 +87,15 @@ def test_gasket_csv_matches_json(capsys, tmp_path):
     argv = ["gasket", "--n", "2", "--delta", "0.25", "--depth", "2"]
     code, data = run_json(capsys, argv)
     assert code == 0
-    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "c.csv")]) == 0
-    cloud = PointCloud.from_csv((tmp_path / "c.csv").read_text())
+    csv, js = str(tmp_path / "c.csv"), str(tmp_path / "c.json")
+    assert main(argv + ["--format", "csv", "--out", csv]) == 0
+    assert main(argv + ["--out", js]) == 0
+    cloud = PointCloud.from_csv(Path(csv).read_text())
     assert [[float(x) for x in row] for row in cloud.points] == data["points"]
+    # the commands that read a cloud print the same from either file
+    for command in (["spectrum", "--alpha", "30", "--window", "5"], ["extreme", "--target", "zero"]):
+        runs = [(main(command + ["--cloud", path]), capsys.readouterr().out) for path in (csv, js)]
+        assert runs[0] == runs[1] and runs[0][1]
 
 
 def test_certify_positive_and_negative(capsys):
@@ -600,6 +627,25 @@ def test_nan_parameters_exit_2(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "minkdim --cloud {cloud} --kmin 2 --kmax 6 --format csv",
+        "certify --n 2 --delta 0.005 --alpha 30 --window 5 --format svg",
+    ],
+)
+def test_output_format_a_subcommand_lacks_exits_2_without_writing(capsys, tmp_path, argv):
+    cloud = str(tmp_path / "cloud.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "3", "--out", cloud]) == 0
+    command, *_, fmt = argv.split()
+    out = tmp_path / "out"
+    assert main(argv.format(cloud=cloud).split() + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"anglelab: invalid input: {fmt} output is not defined for '{command}'" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("data", [{"dimension": 0, "points": [[]]}, {"dimension": -1, "points": []}])
