@@ -56,11 +56,16 @@ class RegularityParams:
     ramsey_items: int
 
 
+def _n_colors(delta: float) -> int:
+    """N = max(2, ceil(3/delta)), the color count of a regularity target delta."""
+    if not (0.0 < delta < math.inf) or 3.0 / delta == math.inf:
+        raise InvalidWindow("regularity delta must be positive and finite, and 3/delta finite")
+    return max(2, math.ceil(3.0 / delta))
+
+
 def regularity_params(delta: float) -> RegularityParams:
-    """N = ceil(3/delta) distance intervals and the 3*N! item guarantee."""
-    if not (delta > 0.0):
-        raise InvalidWindow("regularity delta must be positive")
-    n_colors = max(2, math.ceil(3.0 / delta))
+    """N = max(2, ceil(3/delta)) distance intervals and the 3*N! item guarantee."""
+    n_colors = _n_colors(delta)
     return RegularityParams(float(delta), n_colors, ramsey_bound(n_colors))
 
 
@@ -138,7 +143,7 @@ def almost_regular_triangle(
     A well-spread subset with pairwise distances inside one shell
     [a, 4a] is extracted first (adjacent scales l = k - 1, choosing the
     k that maximizes the subset).  Its pairwise distances are colored by
-    ceil(3/delta) intervals of the shell and the first monochromatic
+    `_n_colors(delta)` intervals of the shell and the first monochromatic
     triangle found is returned; same color forces the ratio bound.
     Returns None when the subset has no monochromatic triple.
 
@@ -146,8 +151,7 @@ def almost_regular_triangle(
     every point (see the README).  When it reaches TRIANGLE_SCAN_MAX_K
     first, that name is appended to `limits_hit`, if given.
     """
-    if not (delta > 0.0):
-        raise InvalidWindow("regularity delta must be positive")
+    n_colors = _n_colors(delta)
     if len(cloud) < 3:
         raise TooFewPoints("need at least 3 points for a triangle")
     pts = _normalize_unit(cloud.points)
@@ -168,7 +172,6 @@ def almost_regular_triangle(
     if len(best) < 3:
         return None
     a = 2.0 ** (-best_k + 1)
-    n_colors = max(2, math.ceil(3.0 / delta))
     colors = color_distances(pts[best], a, n_colors)
     triple = find_monochromatic_triangle(colors)
     if triple is None:

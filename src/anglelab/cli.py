@@ -200,7 +200,7 @@ def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
 
 def _cmd_gasket(args) -> int:
     ifs = gasket_ifs(args.n, args.delta)
-    cloud = iterate_cloud(ifs, args.depth, ifs.centers(), budget=args.budget)
+    cloud = iterate_cloud(ifs, args.depth, budget=args.budget)
     return _emit(args, 0, cloud._payload(), lambda: (cloud, [], []), csv=cloud.to_csv)
 
 
@@ -292,7 +292,7 @@ def _cmd_rectangle(args) -> int:
     marks = list(witness.corners)
 
     def plot():
-        cloud = iterate_cloud(ifs, args.depth, ifs.centers(), budget=args.budget)
+        cloud = iterate_cloud(ifs, args.depth, budget=args.budget)
         return cloud, marks, _ring_segments(marks)
 
     return _emit(args, 0, witness.to_json_dict(params), plot)

@@ -36,6 +36,11 @@ Cell = tuple[int, ...]
 Cube = tuple[int, Cell]
 
 
+def _check_exponent(s: float) -> None:
+    if not (0.0 < s < math.inf):
+        raise AngleLabError("content exponent must be positive and finite")
+
+
 def _check_grid(dimension: int, levels: int) -> None:
     if dimension < 1:
         raise InvalidDimension("grid dimension must be at least 1")
@@ -204,8 +209,7 @@ def dyadic_content(grid: DyadicGrid, s: float) -> ContentResult:
     by the best covers of its nonempty children, whichever is cheaper
     (the node wins ties, keeping the cover coarse).
     """
-    if not (s > 0.0):
-        raise AngleLabError("content exponent must be positive")
+    _check_exponent(s)
     if not len(grid):
         return ContentResult(0.0, float(s), ())
     cells, values, flags, parents = _tree_values(grid, s)
@@ -252,8 +256,7 @@ def dense_cube(grid: DyadicGrid, s: float) -> DenseCubeResult:
     """
     if not len(grid):
         raise EmptyGrid("dense cube search needs an occupied cell")
-    if not (s > 0.0):
-        raise AngleLabError("content exponent must be positive")
+    _check_exponent(s)
     cells, values, _, _ = _tree_values(grid, s)
     best, best_val = _densest_cube(cells, values, s, grid.levels)
     return DenseCubeResult(best, best_val, best_val >= 2.0 ** (-2.0 - s))
@@ -278,12 +281,7 @@ class ZoomResult:
         }
 
     def to_json_dict(self) -> dict:
-        return {
-            "cube": [self.cube[0], list(self.cube[1])],
-            "normalized_content": self.normalized_content,
-            "passes_claim": self.passes_claim,
-            "rescaled": self.rescaled.to_json_dict(),
-        }
+        return {**self._payload(), "rescaled": self.rescaled.to_json_dict()}
 
 
 def microset_zoom(grid: DyadicGrid, s: float, delta: float) -> ZoomResult:
@@ -295,6 +293,7 @@ def microset_zoom(grid: DyadicGrid, s: float, delta: float) -> ZoomResult:
     """
     if not (0.0 < delta < s / 2.0):
         raise InvalidDelta("need 0 < delta < s/2")
+    _check_exponent(s)
     if not len(grid):
         raise EmptyGrid("zoom needs an occupied cell")
     m, d = grid.levels, grid.dimension

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptyCloud, InvalidScales
-from .geom import PAIR_BLOCK, Point, PointCloud, _row_groups
+from .geom import PAIR_BLOCK, Point, PointCloud, _column_diffs, _row_groups
 
 
 def _normalize_unit(pts: np.ndarray) -> np.ndarray:
@@ -36,13 +36,22 @@ def _normalize_unit(pts: np.ndarray) -> np.ndarray:
 
 
 def _sq_dists(x: np.ndarray, i: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """`einsum` of the row differences x[i] - y[j] with themselves, for x
-    and y given by their columns: numpy gathers from a column much faster
-    than rows from a 2-d array, and the difference rows are the same."""
-    diffs = np.empty((len(i), len(x)))
-    for a, (xa, ya) in enumerate(zip(x, y)):
-        np.subtract(xa[i], ya[j], out=diffs[:, a])
+    """Squared lengths of the rows x[i] - y[j], for x and y given by their
+    columns (see `_column_diffs`)."""
+    diffs = _column_diffs(x, i, y, j)
     return np.einsum("ij,ij->i", diffs, diffs)
+
+
+def _cells(pts: np.ndarray, side: float) -> np.ndarray:
+    """floor(pts / side) as int64 cell indices.  Raises InvalidScales before
+    the cast if an index, its ±1 or the difference of any two, which
+    `_cell_slab` forms, would leave int64."""
+    with np.errstate(all="ignore"):  # inf and NaN, from overflow or side 0, fail the check
+        cells = np.floor(pts / side)
+    lo, hi = float(cells.min()), float(cells.max())
+    if not (-(2.0**63) < lo and hi < 2.0**63 and hi - lo < 2.0**63):
+        raise InvalidScales(f"scale too fine: cells of side {side:g} have indices beyond int64")
+    return cells.astype(np.int64)
 
 
 def _blocks(counts: np.ndarray, cap: int = PAIR_BLOCK):
@@ -70,7 +79,7 @@ def _cell_slab(cells: np.ndarray, queries: np.ndarray):
     """
     axis = int(np.argmax(cells.max(axis=0) - cells.min(axis=0)))
     key = cells[:, axis]
-    cell_cols, query_cols = cells.T.copy(), queries.T.copy()  # see _sq_dists
+    cell_cols, query_cols = cells.T.copy(), queries.T.copy()  # see _column_diffs
     order = np.argsort(key, kind="stable")
     lo = np.searchsorted(key[order], queries[:, axis] - 1, side="left")
     width = np.searchsorted(key[order], queries[:, axis] + 1, side="right") - lo
@@ -118,9 +127,9 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     loop, bit for bit: x - y is exactly -(y - x).
     """
     n = pts.shape[0]
-    cells = np.floor(pts / (2.0 * epsilon)).astype(np.int64)
+    cells = _cells(pts, 2.0 * epsilon)
     limit = (2.0 * epsilon) ** 2
-    cols = pts.T.copy()  # see _sq_dists
+    cols = pts.T.copy()  # see _column_diffs
     # the alive points, sorted by cell and ascending inside each cell
     live, new_cell = _row_groups(cells)
     live_cell = np.cumsum(new_cell) - 1
@@ -188,13 +197,6 @@ class PackingReport:
     epsilon: float
     count: int
     centers: tuple[Point, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "count": self.count,
-            "centers": [list(c) for c in self.centers],
-        }
 
 
 def packing_number_greedy(cloud: PointCloud, epsilon: float) -> PackingReport:
@@ -310,7 +312,7 @@ def _well_spread_core(
     fine, centers = pts[fine_idx], pts[coarse_idx]
     radius = 2.0 ** (-l + 1)
     limit = radius * radius
-    cells = np.floor(pts / radius).astype(np.int64)
+    cells = _cells(pts, radius)
     cells[pts == np.nextafter(radius, 0.0)] = 1
     fine_cols, center_cols = fine.T.copy(), centers.T.copy()
     counts = np.zeros(len(centers), dtype=np.int64)

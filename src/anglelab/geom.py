@@ -257,6 +257,16 @@ def _json_rows(data: dict, kind: str, key: str, d: int, types: set[type]) -> lis
     return rows
 
 
+def _column_diffs(x: np.ndarray, i: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The rows x[i] - y[j], for x and y given by their columns: numpy
+    gathers from a column much faster than rows from a 2-d array, and the
+    difference rows are the same."""
+    diffs = np.empty((len(i), len(x)))
+    for a, (xa, ya) in enumerate(zip(x, y)):
+        np.subtract(xa[i], ya[j], out=diffs[:, a])
+    return diffs
+
+
 def _row_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, new) for a 2-d array without NaN, with at least one column.
 
@@ -268,7 +278,7 @@ def _row_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(arr.T[::-1])
     new = np.zeros(arr.shape[0], dtype=bool)
     new[:1] = True
-    for c in arr.T:  # column by column: see dimension._sq_dists
+    for c in arr.T:  # column by column: see _column_diffs
         c = c[order]
         new[1:] |= c[1:] != c[:-1]
     return order, new
@@ -282,7 +292,7 @@ class AngleInterval:
     radius: float
 
     def __post_init__(self):
-        if not (0.0 <= self.center <= 180.0) or not (self.radius >= 0.0):
+        if not (0.0 <= self.center <= 180.0) or not (0.0 <= self.radius < math.inf):
             raise InvalidWindow(f"bad angle window ({self.center}, {self.radius})")
 
     @property
@@ -487,15 +497,12 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
     threshold = _cloud_threshold(pts)
     if budget is not None and budget < _total_triples(n):
         sample = _sampled_triples(n, budget, seed)
-        cols = pts.T.copy()  # see dimension._sq_dists
+        cols = pts.T.copy()  # see _column_diffs
         rows = max(1, PAIR_BLOCK // len(cols))
         for lo in range(0, budget, rows):
             a, i, j = sample[lo : lo + rows].T
-            u = np.empty((len(a), len(cols)))
-            v = np.empty_like(u)
-            for c, col in enumerate(cols):
-                np.subtract(col[i], col[a], out=u[:, c])
-                np.subtract(col[j], col[a], out=v[:, c])
+            u = _column_diffs(cols, i, cols, a)
+            v = _column_diffs(cols, j, cols, a)
             nu = np.sqrt(np.einsum("ij,ij->i", u, u))
             nv = np.sqrt(np.einsum("ij,ij->i", v, v))
             ok = (nu > threshold) & (nv > threshold)

@@ -20,7 +20,6 @@ from .errors import (
     DegenerateSystem,
     DegenerateVector,
     DimensionMismatch,
-    EmptyCloud,
     InvalidArity,
     InvalidCode,
     InvalidDepth,
@@ -139,27 +138,17 @@ def similarity_dimension(ifs: HomotheticIFS) -> float:
     return 0.5 * (lo + hi)
 
 
-def iterate_cloud(
-    ifs: HomotheticIFS,
-    depth: int,
-    seeds,
-    budget: int = DEFAULT_POINT_BUDGET,
-) -> PointCloud:
-    """All images of the seeds under every depth-long composition.
+def iterate_cloud(ifs: HomotheticIFS, depth: int, budget: int = DEFAULT_POINT_BUDGET) -> PointCloud:
+    """All images of the system's centers under every depth-long composition.
 
-    Points are enumerated in (address code, seed index) lexicographic
-    order and deduplicated bitwise; strongly separated systems with
-    distinct seeds produce no duplicates beyond coinciding fixed points.
+    Points are enumerated in (address code, center index) lexicographic
+    order and deduplicated bitwise; strongly separated systems produce no
+    duplicates beyond coinciding fixed points.
     """
     if depth < 0:
         raise InvalidDepth("depth must be >= 0")
-    seeds = np.asarray(seeds, dtype=float)
-    if seeds.ndim != 2 or seeds.shape[0] == 0:
-        raise EmptyCloud("seeds must form a nonempty (n, d) array")
-    if seeds.shape[1] != ifs.dimension:
-        raise DimensionMismatch("seed dimension disagrees with the system")
     m = len(ifs.maps)
-    total = (m**depth) * seeds.shape[0]
+    total = m ** (depth + 1)
     if total > budget:
         raise BudgetExceeded(f"{total} points exceed the budget of {budget}")
 
@@ -168,15 +157,10 @@ def iterate_cloud(
     scale = np.ones(1)
     shift = np.zeros((1, ifs.dimension))
     for _ in range(depth):
-        scale_new = (scale[:, None] * ratios[None, :]).reshape(-1)
-        shift_new = (
-            scale[:, None, None] * offsets[None, :, :] + shift[:, None, :]
-        ).reshape(-1, ifs.dimension)
-        scale, shift = scale_new, shift_new
-    pts = (
-        scale[:, None, None] * seeds[None, :, :] + shift[:, None, :]
-    ).reshape(-1, ifs.dimension)
-    return PointCloud(pts)
+        shift = (scale[:, None, None] * offsets + shift[:, None, :]).reshape(-1, ifs.dimension)
+        scale = (scale[:, None] * ratios).reshape(-1)
+    pts = scale[:, None, None] * ifs.centers() + shift[:, None, :]
+    return PointCloud(pts.reshape(-1, ifs.dimension))
 
 
 def separation_gap(ifs: HomotheticIFS) -> float:
@@ -294,7 +278,7 @@ def rectangle_in(
     axis = q - p
     axis = axis / np.linalg.norm(axis)
 
-    cloud = iterate_cloud(ifs, depth, ifs.centers(), budget=budget)
+    cloud = iterate_cloud(ifs, depth, budget=budget)
     pts = cloud.points
     proj = pts @ axis
     extent = pts.max(axis=0) - pts.min(axis=0)

@@ -61,6 +61,9 @@ class FrozenGrid:
     def cell_rows(self) -> np.ndarray:
         return np.array(sorted(self.occupied), dtype=np.int64).reshape(-1, self.dimension)
 
+    def _payload(self) -> dict:
+        return {"dimension": self.dimension, "levels": self.levels, "occupied": self.cell_rows()}
+
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,

@@ -50,7 +50,7 @@ def unit_grid(n: int) -> PointCloud:
 
 def gasket_cloud(n: int, delta: float, depth: int) -> PointCloud:
     ifs = gasket_ifs(n, delta)
-    return iterate_cloud(ifs, depth, [h.center for h in ifs.maps])
+    return iterate_cloud(ifs, depth)
 
 
 def test_simplex_segment_angles_are_special():

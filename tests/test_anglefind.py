@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anglelab import PointCloud
+from anglelab import PointCloud, anglefind
 from anglelab.anglefind import (
     RegularityParams,
     RightAngleWitness,
@@ -203,6 +203,41 @@ def test_triangle_input_validation():
         almost_regular_triangle(PointCloud([(0.0, 0.0), (1.0, 1.0)]), 0.5)
     with pytest.raises(InvalidWindow):
         almost_regular_triangle(EQUILATERAL, 0.0)
+
+
+def test_triangle_colors_with_the_regularity_params_count(monkeypatch):
+    seen = []
+
+    def recording(pts, a, n_colors):
+        seen.append(n_colors)
+        return color_distances(pts, a, n_colors)
+
+    monkeypatch.setattr(anglefind, "color_distances", recording)
+    deltas = (0.01, 0.07, 0.1, 0.29, 0.3, 0.31, 0.5, 0.99, 1.0, 1.5, 2.9, 3.0, 5.0)
+    for delta in deltas:
+        almost_regular_triangle(EQUILATERAL, delta)
+    assert seen == [regularity_params(delta).n_colors for delta in deltas]
+
+
+def test_triangle_search_never_evaluates_the_ramsey_bound(monkeypatch):
+    # 3 * N! at N = 3e7 colors would not finish
+    cloud = unit_grid(5)
+    want = almost_regular_triangle(cloud, 0.3)
+
+    def refuse(r):
+        raise AssertionError("the search evaluated ramsey_bound")
+
+    monkeypatch.setattr(anglefind, "ramsey_bound", refuse)
+    assert almost_regular_triangle(cloud, 0.3) == want
+    assert almost_regular_triangle(EQUILATERAL, 1e-7) is not None
+
+
+@pytest.mark.parametrize("delta", [math.inf, 1e-320])
+def test_color_count_needs_a_finite_delta_and_count(delta):
+    with pytest.raises(InvalidWindow, match="positive and finite"):
+        regularity_params(delta)
+    with pytest.raises(InvalidWindow, match="positive and finite"):
+        almost_regular_triangle(EQUILATERAL, delta)
 
 
 def test_near_right_exact_right_angle():

@@ -630,6 +630,73 @@ def test_nan_parameters_exit_2(capsys, tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("content --grid {grid} --s inf", "content exponent must be positive and finite"),
+        ("zoom --grid {grid} --s inf --delta 0.1", "content exponent must be positive and finite"),
+        ("triangle --cloud {cloud} --delta inf", "regularity delta must be positive and finite"),
+        ("certify --n 2 --delta 0.005 --alpha 30 --window inf", "bad angle window"),
+        ("spectrum --cloud {cloud} --alpha 60 --window inf", "bad angle window"),
+    ],
+)
+def test_infinite_parameters_exit_2(capsys, tmp_path, argv, message):
+    # JSON has no Infinity, so an output echoing one would not be JSON
+    cloud = write_cloud(tmp_path, EQ_CLOUD)
+    grid = write_cloud(tmp_path, {"dimension": 2, "levels": 2, "occupied": [[0, 1]]}, "grid.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.format(cloud=cloud, grid=grid).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input" in captured.err and message in captured.err
+
+
+def _gasket_file(tmp_path) -> str:
+    path = str(tmp_path / "gasket.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.25", "--depth", "3", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rightangle --cloud {gasket} --k 64 --l 1",
+        "rightangle --cloud {gasket} --k 70 --l 1",
+        "rightangle --cloud {gasket} --k 2000 --l 1",  # 2^-2000 rounds to 0
+        "minkdim --cloud {five} --kmin 1 --kmax 100",
+    ],
+)
+def test_packing_scales_beyond_int64_cells_exit_2(capsys, tmp_path, argv):
+    gasket = _gasket_file(tmp_path)
+    # two of the five points lie 1e-25 apart, so the scan reaches k = 64
+    five = {"dimension": 2, "points": [[0.0, 0.0], [1e-25, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+    five = write_cloud(tmp_path, five, "five.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.format(gasket=gasket, five=five).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: scale too fine: cells of side" in captured.err
+    assert "beyond int64" in captured.err
+
+
+def test_rightangle_at_the_finest_int64_scale_keeps_its_output(capsys, tmp_path):
+    gasket = _gasket_file(tmp_path)
+    assert main(["rightangle", "--cloud", gasket, "--k", "63", "--l", "1"]) == 0
+    want = {
+        "kind": "right",
+        "metric": 10.893394649130855,
+        "params": {"angle": 79.10660535086915, "k": 63, "l": 1, "t": 0.10196658217560263},
+        "points": [
+            [0.4765624999999999, 0.8254304629820431],
+            [0.4999999999999999, 0.8660254037844387],
+            [0.5156249999999999, 0.8118988160479113],
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "minkdim --cloud {cloud} --kmin 2 --kmax 6 --format csv",

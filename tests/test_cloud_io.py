@@ -175,7 +175,7 @@ def test_signed_zeros_are_one_point():
 
 def gasket(n, delta, depth):
     ifs = gasket_ifs(n, delta)
-    return iterate_cloud(ifs, depth, ifs.centers())
+    return iterate_cloud(ifs, depth)
 
 
 @pytest.mark.parametrize("n, delta, depth", [(2, 0.25, 6), (5, 0.2, 2)])

@@ -63,7 +63,7 @@ def rasterize_reference(pts, m: int) -> set:
 
 def gasket_cloud(depth: int) -> PointCloud:
     ifs = gasket_ifs(2, 0.25)
-    return iterate_cloud(ifs, depth, seeds=[h.center for h in ifs.maps])
+    return iterate_cloud(ifs, depth)
 
 
 def test_grid_validates_cells():

@@ -62,7 +62,7 @@ def check_report(report: PackingReport, cloud: PointCloud) -> None:
 
 def gasket_cloud(depth: int) -> PointCloud:
     ifs = gasket_ifs(2, 0.25)
-    return iterate_cloud(ifs, depth, [h.center for h in ifs.maps])
+    return iterate_cloud(ifs, depth)
 
 
 def test_single_point_packs_to_one():
@@ -154,6 +154,18 @@ def test_packing_rejects_bad_input():
         packing_number_greedy(PointCloud([(0.0,)]), -1.0)
     with pytest.raises(InvalidScales, match="packing radius must be positive"):
         packing_number_greedy(PointCloud([(0.0,), (1.0,)]), math.nan)
+
+
+def test_packing_cells_must_fit_int64():
+    # indices 0 and 2^62 fit, and so does their difference
+    assert packing_number_greedy(PointCloud([(0.0,), (2.0**62,)]), 0.5).count == 2
+    # -2^62 and 2^62 each fit, but their difference does not
+    with pytest.raises(InvalidScales, match="scale too fine"):
+        packing_number_greedy(PointCloud([(-(2.0**62),), (2.0**62,)]), 0.5)
+    # 2^63 does not fit, -2^63 has no -1 in int64, and 1e10 / 2e-300 overflows to inf
+    for x, eps in ((2.0**63, 0.5), (-(2.0**63), 0.5), (1e10, 1e-300)):
+        with pytest.raises(InvalidScales, match="scale too fine"):
+            packing_number_greedy(PointCloud([(0.0,), (x,)]), eps)
 
 
 def test_segment_dimension_is_one():

@@ -125,7 +125,7 @@ def test_reduction_returns_the_reference_witness_and_stops_at_the_end(cloud, tar
 @pytest.mark.parametrize("target", TARGETS)
 def test_gasket_witness_is_the_reference(n, delta, depth, target):
     ifs = gasket_ifs(n, delta)
-    _checked(iterate_cloud(ifs, depth, ifs.centers()), target)
+    _checked(iterate_cloud(ifs, depth), target)
 
 
 @pytest.mark.parametrize("target", TARGETS)

@@ -110,19 +110,19 @@ def test_similarity_dimension_mixed_ratios():
 def test_iterate_cloud_depth0_and_validation():
     ifs = gasket_ifs(2, 0.25)
     verts = ifs.centers()
-    cloud = iterate_cloud(ifs, 0, verts)
+    cloud = iterate_cloud(ifs, 0)
     assert len(cloud) == 3
     assert np.allclose(cloud.points, verts)
     with pytest.raises(InvalidDepth):
-        iterate_cloud(ifs, -1, verts)
+        iterate_cloud(ifs, -1)
     with pytest.raises(BudgetExceeded):
-        iterate_cloud(ifs, 3, verts, budget=80)
+        iterate_cloud(ifs, 3, budget=80)
 
 
 def test_iterate_cloud_depth1_oracle():
     ifs = gasket_ifs(2, 0.25)
     verts = ifs.centers()
-    cloud = iterate_cloud(ifs, 1, verts)
+    cloud = iterate_cloud(ifs, 1)
     expected = []
     for h in ifs.maps:
         for v in verts:
@@ -137,7 +137,7 @@ def test_iterate_cloud_depth1_oracle():
 
 def test_iterate_cloud_depth3_count():
     ifs = gasket_ifs(2, 0.25)
-    cloud = iterate_cloud(ifs, 3, ifs.centers())
+    cloud = iterate_cloud(ifs, 3)
     assert len(cloud) == 81
 
 
@@ -145,8 +145,8 @@ def test_iterate_cloud_recursion_set_equality():
     ifs = gasket_ifs(2, 0.3)
     verts = ifs.centers()
     for k in (0, 1, 2):
-        small = iterate_cloud(ifs, k, verts).points
-        big = iterate_cloud(ifs, k + 1, verts).points
+        small = iterate_cloud(ifs, k).points
+        big = iterate_cloud(ifs, k + 1).points
         union = np.concatenate([h.apply(small) for h in ifs.maps])
         union = np.unique(np.round(union, 12), axis=0)
         big_sorted = np.unique(np.round(big, 12), axis=0)

@@ -65,7 +65,7 @@ def clouds(draw, max_points=60):
         pts = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
     else:
         ifs = gasket_ifs(max(d, 2), 0.3)
-        pts = iterate_cloud(ifs, 2 if d <= 3 else 1, ifs.centers()).points
+        pts = iterate_cloud(ifs, 2 if d <= 3 else 1).points
     dists = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     positive = dists[dists > 0]
     if positive.size == 0:
@@ -105,7 +105,7 @@ def test_kept_lists_are_the_loop_on_larger_uniform_clouds(d, n, ks):
 def test_kept_lists_are_the_loop_on_an_address_ordered_gasket():
     # consecutive points share a cell, and the clusters resolve side by side
     ifs = gasket_ifs(2, 0.25)
-    pts = _normalize_unit(iterate_cloud(ifs, 6, ifs.centers()).points)
+    pts = _normalize_unit(iterate_cloud(ifs, 6).points)
     for k in range(1, 10):
         assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
 
@@ -121,7 +121,7 @@ def test_kept_lists_are_the_loop_on_an_address_ordered_gasket():
 def test_kept_lists_are_the_loop_on_address_ordered_gaskets(n, delta, depth, ks):
     # consecutive points share a cell, and the clusters resolve side by side
     ifs = gasket_ifs(n, delta)
-    pts = _normalize_unit(iterate_cloud(ifs, depth, ifs.centers()).points)
+    pts = _normalize_unit(iterate_cloud(ifs, depth).points)
     for k in ks:
         assert _greedy_pack_indices(pts, 2.0**-k) == oracle.greedy_pack_indices(pts, 2.0**-k)
 

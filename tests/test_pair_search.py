@@ -96,7 +96,7 @@ def near_right_cases(draw):
     elif kind == "gasket":
         n = draw(st.integers(2, 3))
         ifs = gasket_ifs(n, draw(st.sampled_from([0.2, 0.25, 0.3, 0.45])))
-        cloud = iterate_cloud(ifs, draw(st.integers(1, 6 - n)), ifs.centers())
+        cloud = iterate_cloud(ifs, draw(st.integers(1, 6 - n)))
     elif kind == "lattice":
         d = draw(st.integers(2, 3))
         cloud = PointCloud(rng.integers(0, 6, size=(draw(st.integers(3, 150)), d)).astype(float))
@@ -143,7 +143,7 @@ def _rectangle_setup(ifs, f_index, g_index, depth):
     gf = ifs.maps[g_index].compose(ifs.maps[f_index])
     axis = np.asarray(gf.center) - np.asarray(fg.center)
     axis = axis / np.linalg.norm(axis)
-    pts = iterate_cloud(ifs, depth, ifs.centers()).points
+    pts = iterate_cloud(ifs, depth).points
     return fg, gf, pts, pts @ axis
 
 

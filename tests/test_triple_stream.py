@@ -135,7 +135,7 @@ def test_sampled_scan_measures_the_reference_triples(n, d, seed, data):
 def _highdim_points():
     """gasket(5, 0.005) at depth 3: 1,296 points in R^5, 1.1e9 triples."""
     ifs = gasket_ifs(5, 0.005)
-    return iterate_cloud(ifs, 3, ifs.centers()).points
+    return iterate_cloud(ifs, 3).points
 
 
 @st.composite
