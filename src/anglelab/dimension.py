@@ -10,6 +10,7 @@ coordinates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +245,8 @@ def minkowski_dimension_estimate(
         raise EmptyCloud("cannot estimate dimension of an empty cloud")
     if k_min >= k_max:
         raise InvalidScales("need k_min < k_max")
+    if 2 - 2 * k_min >= sys.float_info.max_exp:  # the packing's squared limit 4^(1-k)
+        raise InvalidScales(f"scale too coarse: packing at 2^{-k_min} overflows a float")
     pts = _normalize_unit(cloud.points)
     scales = []
     for k, kept in _dyadic_packings(pts, range(k_min, k_max + 1)):

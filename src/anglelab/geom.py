@@ -428,40 +428,42 @@ def _fresh_keys(rng, n: int, take: int, kept: np.ndarray) -> np.ndarray:
     """Keys (apex*n + i)*n + j, i < j, of one round of `take` draws: each
     valid key not in `kept` once, at its first draw, in draw order.  A
     key's first draw is the least draw index in its run of the unstable
-    sort."""
+    sort.  For n < 2^31, int32 arm draws equal int64 ones and leave the
+    generator in the same state."""
     a = rng.integers(0, n, size=take)
-    i = rng.integers(0, n, size=take)
-    j = rng.integers(0, n, size=take)
+    i = rng.integers(0, n, size=take, dtype=np.int32)
+    j = rng.integers(0, n, size=take, dtype=np.int32)
     valid = a != i
     valid &= a != j
     valid &= i != j
-    # (a*n + lo)*n + hi in the draw arrays, as a*n*n + i + j + lo*(n - 1)
-    a *= n * n
-    a += i
-    a += j
-    np.minimum(i, j, out=i)
-    i *= n - 1
-    a += i
+    a *= n
+    a += np.minimum(i, j)
+    a *= n
+    a += np.maximum(i, j)
     del i, j
     drawn = a[valid]
     del a, valid
     order = np.argsort(drawn)
     ranked = drawn[order]
+    del drawn
     runs = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
     first = np.minimum.reduceat(order, runs)
     del order
-    first = first[~np.isin(ranked[runs], kept, assume_unique=True)]
-    fresh = np.zeros(len(drawn), dtype=bool)
-    fresh[first] = True
-    return drawn[fresh]
+    keys = ranked[runs]
+    del ranked, runs
+    fresh = ~np.isin(keys, kept, assume_unique=True)
+    keys, first = keys[fresh], first[fresh]
+    return keys[np.argsort(first)]  # first draws are distinct
 
 
 def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
-    """Sorted seeded sample of `budget` distinct (apex, i, j) triples, i < j.
+    """Sorted keys (apex*n + i)*n + j, i < j, of a seeded sample of
+    `budget` distinct triples.
 
     Each round draws index triples and keeps, in draw order, the valid
     ones not kept before; the caller ensures more than `budget` exist.
-    Keys (apex*n + i)*n + j bound n by 2^21 - 1.
+    Keys in int64 bound n by 2^21 - 1.  Peak bytes per budget triple, in
+    the first round's 2 draws each: 44 drawing, 66 in the dedupe; 8 held.
     """
     if n**3 > np.iinfo(np.int64).max:
         raise BudgetExceeded(f"sampled triple scans take at most 2097151 points, not {n}")
@@ -471,7 +473,7 @@ def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
         take = max(1024, 2 * (budget - len(kept)))
         new = np.sort(_fresh_keys(rng, n, take, kept)[: budget - len(kept)])
         kept = np.insert(kept, np.searchsorted(kept, new), new)
-    return np.stack([kept // (n * n), kept // n % n, kept % n], axis=1)
+    return kept
 
 
 def _total_triples(n: int) -> int:
@@ -485,9 +487,10 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
     Triples with an arm no longer than the cloud's degeneracy threshold
     are left out.  Fewer than 3 points, or a budget below 1, are
     rejected before any triple is measured.  The exhaustive stream has
-    one block per apex; the sampled one measures consecutive rows of the
-    sorted sample, PAIR_BLOCK // d at a time, and holds arrays of one
-    such block besides the sample.
+    one block per apex; the sampled one decodes and measures consecutive
+    keys of the sorted sample, PAIR_BLOCK // d at a time, and holds
+    arrays of one such block besides the sample, 8 bytes per budget
+    triple: its peak is about the sampler's 66.
     """
     n = pts.shape[0]
     if n < 3:
@@ -496,21 +499,21 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
         raise AngleLabError(f"triple sample budget must be at least 1, not {budget}")
     threshold = _cloud_threshold(pts)
     if budget is not None and budget < _total_triples(n):
-        sample = _sampled_triples(n, budget, seed)
+        keys = _sampled_triples(n, budget, seed)
         cols = pts.T.copy()  # see _column_diffs
         rows = max(1, PAIR_BLOCK // len(cols))
         for lo in range(0, budget, rows):
-            a, i, j = sample[lo : lo + rows].T
+            k = keys[lo : lo + rows]
+            a, i, j = k // (n * n), k // n % n, k % n
             u = _column_diffs(cols, i, cols, a)
             v = _column_diffs(cols, j, cols, a)
             nu = np.sqrt(np.einsum("ij,ij->i", u, u))
             nv = np.sqrt(np.einsum("ij,ij->i", v, v))
             ok = (nu > threshold) & (nv > threshold)
-            u = u[ok]
-            u /= nu[ok][:, None]
-            v = v[ok]
-            v /= nv[ok][:, None]
-            cos = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
+            np.divide(u, nu[:, None], out=u, where=ok[:, None])
+            np.divide(v, nv[:, None], out=v, where=ok[:, None])
+            cos = np.clip(np.einsum("ij,ij->i", u, v)[ok], -1.0, 1.0)
+            del u, v, nu, nv
             yield a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
         return
     try:

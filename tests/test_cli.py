@@ -680,6 +680,24 @@ def test_packing_scales_beyond_int64_cells_exit_2(capsys, tmp_path, argv):
     assert "beyond int64" in captured.err
 
 
+@pytest.mark.parametrize("kmin", ["-511", "-1000", "-2000"])
+def test_minkdim_scales_beyond_the_float_range_exit_2(capsys, tmp_path, kmin):
+    # the packing at 2^-k compares squared distances with 4^(1-k), which
+    # overflows a float from k = -511 on
+    gasket = _gasket_file(tmp_path)
+    assert main(["minkdim", "--cloud", gasket, "--kmin", kmin, "--kmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: scale too coarse: packing at 2^" in captured.err
+
+
+def test_minkdim_at_the_coarsest_float_scale_keeps_its_scales(capsys, tmp_path):
+    gasket = _gasket_file(tmp_path)
+    code, data = run_json(capsys, ["minkdim", "--cloud", gasket, "--kmin", "-510", "--kmax", "3"])
+    assert code == 0
+    assert data["scales"][:2] == [[-510, 1], [-509, 1]]
+
+
 def test_rightangle_at_the_finest_int64_scale_keeps_its_output(capsys, tmp_path):
     gasket = _gasket_file(tmp_path)
     assert main(["rightangle", "--cloud", gasket, "--k", "63", "--l", "1"]) == 0

@@ -1,6 +1,7 @@
 """The triple-angle stream against the scalar reference scans in spectrum_oracle."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,13 +69,18 @@ def sample_sizes(draw, most=16):
     return n, budget
 
 
+def _decoded(keys, n):
+    """The sampler's sorted keys as (apex, i, j) rows."""
+    return np.stack([keys // (n * n), keys // n % n, keys % n], axis=1)
+
+
 @SETTINGS
 @given(sample_sizes(), st.integers(0, 2**32 - 1))
 @example((1296, 40000), 7)
 @example((40, 29639), 3)
 def test_sampler_replays_the_reference_draws(size, seed):
     n, budget = size
-    got = _sampled_triples(n, budget, seed)
+    got = _decoded(_sampled_triples(n, budget, seed), n)
     want = oracle.sampled_triples(n, budget, seed)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape == (budget, 3)
@@ -88,8 +94,9 @@ def test_sampler_replays_the_reference_draws(size, seed):
 @example((1296, 40000), 5)  # the highdim workload's sampled spectrum
 def test_sampler_keeps_the_first_draws_of_the_stable_unique_sampler(size, seed):
     n, budget = size
-    got = _sampled_triples(n, budget, seed)
+    got = _decoded(_sampled_triples(n, budget, seed), n)
     want = oracle.unique_sampled_triples(n, budget, seed)
+    assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape == (budget, 3)
     assert np.array_equal(got, want)
 
@@ -186,17 +193,35 @@ def test_sampled_stream_holds_one_block_besides_the_sample():
         stream_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one 40,000-triple sample is 0.9 MiB; one block of 13,107 rows in R^5,
-    # 0.5 MiB per float array
-    assert sample_peak < 3.5 * 2**20
-    assert stream_peak < 4 * 2**20
+    # the sampler's dedupe holds 8 bytes per draw, 80,000 draws, in each of
+    # four arrays (2.5 MiB); one block of 13,107 rows in R^5 holds 0.5 MiB
+    # per float array besides the 0.3 MiB of sorted keys
+    assert sample_peak < 2.65 * 2**20
+    assert stream_peak < 2.75 * 2**20
 
 
 def test_sampler_refuses_clouds_beyond_its_key_range():
     # (apex*n + i)*n + j must fit in int64; refused before any draw
-    assert _sampled_triples(2**21 - 1, 1, 0).shape == (1, 3)
+    n = 2**21 - 1
+    keys = _sampled_triples(n, 1, 0)
+    assert keys.dtype == np.int64 and keys.shape == (1,)
+    assert np.array_equal(_decoded(keys, n), oracle.unique_sampled_triples(n, 1, 0))
     with pytest.raises(BudgetExceeded):
         _sampled_triples(2**21, 1, 0)
+
+
+def test_sampled_scan_never_divides_by_a_short_arm():
+    # the arm between the first two points squares to exactly 0, so the
+    # scan must leave its triples out without dividing by its norm
+    pts = PointCloud([[0.0, 0.0], [5e-324, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        blocks = list(_triple_angle_blocks(pts, 20, 1))
+    got = [np.concatenate(column) for column in zip(*blocks)]
+    want = oracle.sampled_block(pts, 20, 1)
+    assert len(got[3]) == 16
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_budget_below_one_is_refused_before_any_scan():
