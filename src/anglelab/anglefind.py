@@ -148,8 +148,12 @@ def almost_regular_triangle(
     Returns None when the subset has no monochromatic triple.
 
     The scan over k stops after the first k whose coarse packing keeps
-    every point (see the README).  When it reaches TRIANGLE_SCAN_MAX_K
-    first, that name is appended to `limits_hit`, if given.
+    every point (see the README).  It packs a scale only where
+    `_dyadic_packings` cannot reuse the packing of the scale before, and
+    at each reused scale the core is one point, found without the bucket
+    join (see `_well_spread_core`).  When the scan reaches
+    TRIANGLE_SCAN_MAX_K first, that name is appended to `limits_hit`, if
+    given.
     """
     n_colors = _n_colors(delta)
     if len(cloud) < 3:

@@ -100,7 +100,23 @@ def _ragged_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
 
 
-def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
+class _Drops:
+    """Where `_greedy_pack_indices` records why it dropped each point.
+
+    dropper[i] is a kept point within 2*epsilon of i that comes before
+    it, so that the index-order loop may drop i for it, or i itself if i
+    is kept; `farthest` is at least each of those squared distances, and
+    infinite if the record was given up.
+    """
+
+    __slots__ = ("dropper", "farthest")
+
+    def __init__(self, n: int) -> None:
+        self.dropper = np.empty(n, dtype=np.int64)
+        self.farthest = 0.0
+
+
+def _greedy_pack_indices(pts: np.ndarray, epsilon: float, drops: _Drops | None = None) -> list[int]:
     """Indices kept by index-order greedy packing: pairwise distance > 2*epsilon.
 
     Kept centers carry pairwise disjoint closed balls of radius epsilon.
@@ -126,6 +142,12 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
     kept earlier point, so the loop drops it too.  Each round has a
     root: the cell of the first alive point.  Distances are those of the
     loop, bit for bit: x - y is exactly -(y - x).
+
+    If `drops` is given, a fresh record, it is filled in from the kills:
+    a root's first point kills itself, at distance 0, and every other
+    point it kills comes after it.  A kill farther than a quarter of the
+    limit sets `farthest` to infinity and ends the record, since no finer
+    dyadic scale could reuse the packing.
     """
     n = pts.shape[0]
     cells = _cells(pts, 2.0 * epsilon)
@@ -168,7 +190,17 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
             owner = first[np.concatenate([chunk, np.repeat(chunk, degree[chunk])])]
             src = np.repeat(owner, count[near])
             cand = live[_ragged_range(start[near], count[near])]
-            alive[cand[_sq_dists(cols, src, cols, cand) <= limit]] = False
+            dist = _sq_dists(cols, src, cols, cand)
+            hit = np.flatnonzero(dist <= limit)  # never empty: each root hits itself
+            dead = cand[hit]
+            alive[dead] = False
+            if drops is not None and drops.farthest < np.inf:
+                far = float(dist[hit].max())
+                if far > limit / 4:  # past the next dyadic scale's limit: stop recording
+                    drops.farthest = np.inf
+                else:
+                    drops.farthest = max(drops.farthest, far)
+                    drops.dropper[dead] = src[hit]
         survive = alive[live]
         live, live_cell = live[survive], live_cell[survive]
     return np.flatnonzero(kept).tolist()
@@ -176,19 +208,40 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float) -> list[int]:
 
 def _dyadic_packings(pts: np.ndarray, ks):
     """Yield (k, kept) for increasing `ks`, `kept` being the packing at
-    radius 2^-k of `pts` in the unit cube.  Past the first packing that
-    keeps every point, that list is yielded again without packing: a
-    packing at k that keeps every point compared every pair whose cells
-    of side 2^(1-k) are within one on every axis, with a squared distance
-    above 4^(1-k).  The cells of side 2^(1-j) for j > k nest inside
-    those, because division by a power of two is exact, so each pair the
-    pass at j would compare was compared at k, and is farther apart than
-    its limit 4^(1-j) < 4^(1-k): the pass at j keeps every point too."""
+    radius 2^-k of `pts` in the unit cube.  A packing at k is yielded
+    again at a finer scale j, without packing, while every point it
+    dropped is still within reach of the kept point that dropped it:
+    squared distance at most 4^(1-j), and cells of side 2^(1-j) within
+    one on every axis.
+
+    The packing at j is then the one at k.  Call two points linked at j
+    if the pass at j compares them and finds them within its limit.  The
+    cells of side 2^(1-j) nest inside those of side 2^(1-k), because
+    division by a power of two is exact, and 4^(1-j) < 4^(1-k): a pair
+    linked at j is linked at k.  Go through the points in index order.
+    A point kept at k has no earlier kept point linked to it at k, so
+    none linked to it at j either, and is kept at j.  A point dropped at
+    k is still linked at j to its dropper, an earlier point kept at k and
+    so at j, and is dropped at j.  A packing that keeps every point has
+    no dropped point, so it stays the packing at every finer scale.  The
+    cells are formed at each scale as packing would form them, so a
+    scale too fine for int64 cells raises InvalidScales either way."""
     kept = None
     for k in ks:
-        if kept is None or len(kept) < len(pts):
-            kept = _greedy_pack_indices(pts, 2.0 ** (-k))
+        epsilon = 2.0 ** (-k)
+        if kept is None or not _still_dropped(pts, drops, epsilon):
+            drops = _Drops(len(pts))
+            kept = _greedy_pack_indices(pts, epsilon, drops)
         yield k, kept
+
+
+def _still_dropped(pts: np.ndarray, drops: _Drops, epsilon: float) -> bool:
+    """Whether the packing at radius epsilon would compare each point
+    with its dropper and find them within 2*epsilon."""
+    if drops.farthest > (2.0 * epsilon) ** 2:
+        return False
+    cells = _cells(pts, 2.0 * epsilon)
+    return bool((np.abs(cells[drops.dropper] - cells) <= 1).all())
 
 
 @dataclass(frozen=True)
@@ -311,12 +364,22 @@ def _well_spread_core(
     distance passes the test is at most one cell apart on every axis,
     once the coordinate just below the radius is counted in cell 1 (its
     difference to twice the radius rounds to the radius itself).
+
+    The same packing as both fine and coarse, which the triangle scan
+    passes at each scale whose packing is reused, gives [fine_idx[0]]
+    without the join when none of its coordinates is that float.  Two of
+    its points are more than the radius apart if the packing at 2^-l
+    compared them, and by the lemma above if their cells are further
+    apart, so every bucket holds its center alone.
     """
     fine, centers = pts[fine_idx], pts[coarse_idx]
     radius = 2.0 ** (-l + 1)
+    below = np.nextafter(radius, 0.0)
+    if fine_idx == coarse_idx and not (fine == below).any():
+        return fine_idx[:1]
     limit = radius * radius
     cells = _cells(pts, radius)
-    cells[pts == np.nextafter(radius, 0.0)] = 1
+    cells[pts == below] = 1
     fine_cols, center_cols = fine.T.copy(), centers.T.copy()
     counts = np.zeros(len(centers), dtype=np.int64)
     for _, rows, cols in _cell_slab(cells[coarse_idx], cells[fine_idx]):

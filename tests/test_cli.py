@@ -14,7 +14,7 @@ import emit_oracle
 import pack_oracle
 import spectrum_oracle
 from anglelab import PointCloud
-from anglelab import cli
+from anglelab import cli, dimension
 from anglelab.cli import build_parser, main
 from anglelab.content import DyadicGrid
 from anglelab.errors import AngleLabError
@@ -678,6 +678,41 @@ def test_packing_scales_beyond_int64_cells_exit_2(capsys, tmp_path, argv):
     assert captured.out == ""
     assert "invalid input: scale too fine: cells of side" in captured.err
     assert "beyond int64" in captured.err
+
+
+_PAIR = [[0.0, 0.0], [1e-300, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "points, argv, packed, side",
+    [
+        (_PAIR, "minkdim --cloud {cloud} --kmin 1 --kmax 100", [1, 2], "1.0842e-19"),
+        (_PAIR, "rightangle --cloud {cloud} --k 70 --l 2", [2], "1.69407e-21"),
+        # the packing at 2 keeps every point
+        ([[0, 0], [1, 0], [0, 1]], "rightangle --cloud {cloud} --k 70 --l 2", [2], "1.69407e-21"),
+    ],
+)
+def test_a_reused_packing_scale_beyond_int64_cells_exits_2(
+    capsys, tmp_path, monkeypatch, points, argv, packed, side
+):
+    # the pair 1e-300 apart stays merged while the other points are apart,
+    # so each scale past 2 reuses the packing at 2 without packing; the
+    # first one whose cells leave int64 (side 2^-63, or k = 70 itself)
+    # still raises, as packing it would
+    cloud = write_cloud(tmp_path, {"dimension": 2, "points": points}, "cloud.json")
+    scales = []
+    pack = dimension._greedy_pack_indices
+
+    def counted(pts, epsilon, drops=None):
+        scales.append(-math.log2(epsilon))
+        return pack(pts, epsilon, drops)
+
+    monkeypatch.setattr(dimension, "_greedy_pack_indices", counted)
+    assert main(argv.format(cloud=cloud).split()) == 2
+    assert scales == packed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"scale too fine: cells of side {side} have indices beyond int64" in captured.err
 
 
 @pytest.mark.parametrize("kmin", ["-511", "-1000", "-2000"])

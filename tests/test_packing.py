@@ -11,8 +11,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pack_oracle as oracle
-from anglelab import dimension
-from anglelab.anglefind import TRIANGLE_SCAN_MAX_K, almost_regular_triangle, color_distances
+import pair_oracle
+from anglelab import anglefind, dimension
+from anglelab.anglefind import (
+    TRIANGLE_SCAN_MAX_K,
+    almost_regular_triangle,
+    color_distances,
+    near_right_witness,
+)
 from anglelab.dimension import (
     _blocks,
     _dyadic_packings,
@@ -20,6 +26,7 @@ from anglelab.dimension import (
     _normalize_unit,
     _well_spread_core,
     minkowski_dimension_estimate,
+    well_spread_subset,
 )
 from anglelab.errors import AngleLabError
 from anglelab.geom import PointCloud
@@ -221,6 +228,11 @@ def scan_clouds():
 # The float just below r sits in cell 0, 2r in cell 2, and their difference
 # rounds to r: the pair is inside, and here it decides the fullest bucket.
 _BELOW = np.nextafter(0.125, 0.0)
+# The same for r = 1/4: the packing at l = 3 (cells of side r) never
+# compares point 1 with 2 or 3 and keeps all four, and the core of that
+# packing against itself is [1, 2, 3], not the first point alone.
+_BELOW_4 = np.nextafter(0.25, 0.0)
+_EDGE_PACKING = np.array([[0.0, 0.0], [_BELOW_4, _BELOW_4], [0.5, _BELOW_4], [_BELOW_4, 0.5]])
 # uniform clouds whose bucket counts span several pair blocks
 _UNIFORM_2D = _normalize_unit(np.random.default_rng(2).random((2000, 2)))
 _UNIFORM_3D = _normalize_unit(np.random.default_rng(3).random((1000, 3)))
@@ -232,12 +244,17 @@ _UNIFORM_3D = _normalize_unit(np.random.default_rng(3).random((1000, 3)))
 @example((np.array([[0.75, 0.0], [_BELOW, 0.0], [0.0, 0.0], [0.25, 0.0], [0.86, 0.0]]), 5, 4))
 @example((_UNIFORM_2D, 8, 7))
 @example((_UNIFORM_3D, 6, 5))
+@example((_EDGE_PACKING, 4, 3))
 def test_well_spread_core_is_the_loop(case):
     pts, k, l = case
     assert np.array_equal(_normalize_unit(pts), pts)
     fine, coarse = (oracle.greedy_pack_indices(pts, 2.0**-j) for j in (k, l))
     assert [kept for _, kept in _dyadic_packings(pts, (l, k))] == [coarse, fine]
     assert _well_spread_core(pts, fine, coarse, l) == oracle.well_spread_core(pts, k, l)
+    # one packing as both fine and coarse, as a reused scale passes it
+    assert _well_spread_core(pts, coarse, coarse, l) == (
+        oracle.well_spread_core_of(pts, coarse, coarse, l)
+    )
     # the coarse centers in another order: ties go to the earliest listed
     assert _well_spread_core(pts, fine, coarse[::-1], l) == (
         oracle.well_spread_core_of(pts, fine, coarse[::-1], l)
@@ -268,24 +285,49 @@ def _first_saturated_scale(pts: np.ndarray, stop: int) -> int:
     )
 
 
-def _check_triangle_scan(cloud: PointCloud, delta: float) -> None:
-    """The witness is the full scan's, and the scales 1..min(s, 40) are
-    packed once each, for the first scale s that keeps every point."""
-    packed = []
+def _counted_packings(packed: list, scanned: list):
+    """Stand-ins for `_greedy_pack_indices`, noting each scale it packs in
+    `packed`, and for `_dyadic_packings`, noting each (k, kept) it yields
+    in `scanned`."""
 
-    def counted(pts, epsilon):
+    def counted(pts, epsilon, drops=None):
         packed.append(-math.log2(epsilon))
-        return _greedy_pack_indices(pts, epsilon)
+        return _greedy_pack_indices(pts, epsilon, drops)
 
+    def noted(pts, ks):
+        for k, kept in _dyadic_packings(pts, ks):
+            scanned.append((k, kept))
+            yield k, kept
+
+    return counted, noted
+
+
+def _check_triangle_scan(cloud: PointCloud, delta: float) -> tuple[list, list]:
+    """The witness is the full scan's; the scan yields the scales
+    1..min(s + 1, 40), for the first scale s that keeps every point; the
+    scales it packs rise strictly from 1, and each scale it reuses holds
+    the loop's packing there.  Returns the scales packed and the (k, kept)
+    yielded."""
+    packed: list[float] = []
+    scanned: list[tuple[int, list[int]]] = []
+    counted, noted = _counted_packings(packed, scanned)
     limits: list[str] = []
-    with mock.patch.object(dimension, "_greedy_pack_indices", counted):
+    with mock.patch.object(dimension, "_greedy_pack_indices", counted), mock.patch.object(
+        anglefind, "_dyadic_packings", noted
+    ):
         got = almost_regular_triangle(cloud, delta, limits)
     assert got == oracle.almost_regular_triangle(cloud, delta)
-    s = _first_saturated_scale(_normalize_unit(cloud.points), TRIANGLE_SCAN_MAX_K + 1)
-    assert packed == list(range(1, min(s, TRIANGLE_SCAN_MAX_K) + 1))
+    pts = _normalize_unit(cloud.points)
+    s = _first_saturated_scale(pts, TRIANGLE_SCAN_MAX_K + 1)
+    assert [k for k, _ in scanned] == list(range(1, min(s + 1, TRIANGLE_SCAN_MAX_K) + 1))
+    assert packed[0] == 1 and all(a < b for a, b in zip(packed, packed[1:]))
+    for k, kept in scanned:
+        if k not in packed:
+            assert kept == oracle.greedy_pack_indices(pts, 2.0**-k)
     # the cap binds exactly when the coarse packing of the last scale
     # still merges two points
     assert limits == (["TRIANGLE_SCAN_MAX_K"] if s >= TRIANGLE_SCAN_MAX_K else [])
+    return packed, scanned
 
 
 @settings(SETTINGS, max_examples=60)
@@ -321,14 +363,113 @@ def test_triangle_packs_each_scale_once(points, s):
     _check_triangle_scan(cloud, 0.3)
 
 
+_G2D3 = iterate_cloud(gasket_ifs(2, 0.005), 3)
+
+
+@pytest.mark.parametrize(
+    "scan, cloud, scales, most, every",
+    [
+        # three cluster levels, each about log2(1/0.005) = 7.6 scales wide:
+        # the scan yields scales 1..25, and scale 24 is the first that
+        # keeps every point
+        ("triangle", _G2D3, 25, 5, False),
+        ("minkdim", _G2D3, 7, 2, False),
+        # a uniform cloud: every scale up to 11, the first that keeps every
+        # point, is packed
+        ("triangle", PointCloud(np.random.default_rng(5).random((500, 2))), 12, 11, True),
+    ],
+)
+def test_scans_pack_only_the_scales_whose_packing_changes(scan, cloud, scales, most, every):
+    if scan == "triangle":
+        packed, scanned = _check_triangle_scan(cloud, 0.3)
+    else:
+        packed, scanned = [], []
+        counted, noted = _counted_packings(packed, scanned)
+        with mock.patch.object(dimension, "_greedy_pack_indices", counted), mock.patch.object(
+            dimension, "_dyadic_packings", noted
+        ):
+            got = minkowski_dimension_estimate(cloud, 6, 12)
+        assert got == oracle.minkowski_dimension_estimate(cloud, 6, 12)
+    assert len(scanned) == scales
+    assert len(packed) <= most
+    if every:
+        assert packed == list(range(1, most + 1))
+
+
 @SETTINGS
 @given(clouds(max_points=40))
 def test_a_packing_that_keeps_every_point_keeps_it_at_finer_scales(case):
-    # the fact _dyadic_packings relies on, for the loop itself
+    # the empty case of the reuse rule of _dyadic_packings, for the loop itself
     pts = _normalize_unit(case[0])
     s = _first_saturated_scale(pts, 64)
     for k in range(s + 1, min(s + 4, 64)):
         assert len(oracle.greedy_pack_indices(pts, 2.0**-k)) == len(pts)
+
+
+@st.composite
+def clustered_clouds(draw):
+    """Unit-cube clouds whose packing stays the same over runs of scales:
+    address-ordered gaskets of ratio 0.005, 0.05 or 0.2 in d = 2..5,
+    unions of tight clusters (clusters of clusters, 10 to 10^5 times
+    smaller at each level, in index order or shuffled), and lattices of
+    dyadic step, with repeated points, whose neighbours lie exactly
+    2^(1-k) apart for some k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gasket", "clusters", "lattice"]))
+    if kind == "gasket":
+        d = draw(st.integers(2, 5))
+        ifs = gasket_ifs(d, draw(st.sampled_from([0.005, 0.05, 0.2])))
+        pts = iterate_cloud(ifs, {2: 4, 3: 3, 4: 2, 5: 2}[d]).points
+    elif kind == "clusters":
+        d = int(rng.integers(1, 6))
+        pts, spread = rng.random((int(rng.integers(1, 4)), d)), 1.0
+        for _ in range(int(rng.integers(1, 4))):
+            spread *= 10.0 ** -float(rng.integers(1, 6))
+            children = int(rng.integers(2, 5))
+            offsets = spread * rng.normal(size=(len(pts), children, d))
+            pts = (pts[:, None, :] + offsets).reshape(-1, d)
+        if draw(st.booleans()):
+            pts = pts[rng.permutation(len(pts))]
+    else:
+        d = int(rng.integers(1, 6))
+        step = 2.0 ** -draw(st.integers(0, 20))
+        pts = rng.integers(0, 5, size=(int(rng.integers(1, 50)), d)) * step
+    return _normalize_unit(pts)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(clustered_clouds(), st.integers(0, 3), st.integers(1, 3))
+# points 1 and 2 are linked at scale 2; at scale 3 their distance still
+# rounds to its limit 1/16, but their cells of side 1/4 are 0 and 2
+@example(np.array([[0.0, 1.0], [np.nextafter(0.25, 0.0), 0.0], [0.5, 0.0]]), 2, 1)
+def test_dyadic_packings_are_the_loop_on_clustered_clouds(pts, k_min, step):
+    ks = range(k_min, 50, step)
+    got = list(_dyadic_packings(pts, ks))
+    assert [k for k, _ in got] == list(ks)
+    want: list[int] = []
+    for k, kept in got:
+        # once the loop keeps every point it keeps them at every finer scale
+        # (test_a_packing_that_keeps_every_point_keeps_it_at_finer_scales)
+        if len(want) < len(pts):
+            want = oracle.greedy_pack_indices(pts, 2.0**-k)
+        assert kept == want
+
+
+@settings(SETTINGS, max_examples=80)
+@given(clustered_clouds(), st.integers(1, 30), st.integers(1, 8))
+def test_scale_pair_searches_are_the_oracles_on_clustered_clouds(pts, l, gap):
+    k = l + gap
+    cloud = PointCloud(pts)
+    unit = _normalize_unit(cloud.points)
+    want = tuple(tuple(float(x) for x in p) for p in unit[oracle.well_spread_core(unit, k, l)])
+    assert well_spread_subset(cloud, 1.0, k, l).points == want
+    try:
+        want = pair_oracle.near_right_witness(cloud, k, l)
+    except AngleLabError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            near_right_witness(cloud, k, l)
+        return
+    assert near_right_witness(cloud, k, l) == want
 
 
 @SETTINGS
