@@ -1,7 +1,9 @@
 """Self-similar point sets with angle gaps, and angle analysis of finite clouds.
 
-Setting the environment variable ANGLELAB_THREADS before this package is
-first imported caps the thread count of the underlying numeric libraries.
+The environment variable ANGLELAB_THREADS caps the thread count of the
+underlying numeric libraries.  It takes effect only if this package is
+imported before numpy is first imported in the process, and it never
+overrides an OMP, OpenBLAS, MKL or numexpr thread variable already set.
 """
 
 import os as _os

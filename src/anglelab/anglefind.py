@@ -27,6 +27,7 @@ from .geom import (
     _apex_cosines,
     # benchmarks/tracing.py hooks it through anglefind
     _apex_pair_angles,  # noqa: F401
+    _bbox,
     _cloud_threshold,
     _projection_pair,
     _triple_witness,
@@ -214,8 +215,7 @@ def near_right_witness(cloud: PointCloud, k: int, l: int) -> RightAngleWitness:
     if len(cloud) < 3:
         raise TooFewPoints("need at least 3 points")
     pts = cloud.points
-    lo = pts.min(axis=0)
-    extent = float((pts.max(axis=0) - lo).max())
+    lo, extent, _ = _bbox(pts)
     if extent <= 0.0:
         raise NoFarPoint("all points coincide; the diameter cannot be rescaled above 2")
     unit = (pts - lo) / extent

@@ -46,7 +46,7 @@ from .ifs import (
 
 _EPILOG = (
     "The environment variable ANGLELAB_THREADS caps internal parallelism; "
-    "it is applied when the package is first imported."
+    "it never overrides an OMP, OpenBLAS, MKL or numexpr thread variable already set."
 )
 
 
@@ -65,12 +65,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _svg_scatter(
-    points: np.ndarray,
-    highlights: list[tuple[float, float]],
-    segments: list[tuple[tuple[float, float], tuple[float, float]]],
-) -> str:
-    """Scatter plot of a planar cloud with witness points and segments.
+def _svg_scatter(points: np.ndarray, highlights: list, segments: list) -> str:
+    """Scatter plot of a planar cloud with witness points, each an (x, y)
+    pair, and segments, each a pair of such points.
 
     The y axis is flipped so larger y is drawn higher, as on paper.
     """
@@ -111,16 +108,6 @@ def _svg_scatter(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _triple_segments(points: list) -> list:
-    """Segments from the apex, points[0], to each arm; none without points."""
-    return [(tuple(points[0]), tuple(arm)) for arm in points[1:]]
-
-
-def _ring_segments(points: list) -> list:
-    ring = [tuple(p) for p in points]
-    return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
 
 def _holds_array(value) -> bool:
@@ -171,11 +158,13 @@ def _json_text(payload, pad: str = "\n"):
         yield "\n"
 
 
-def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
+def _emit(args, code: int, payload: dict, cloud=None, csv=None) -> int:
     """Write the payload in the requested format and return the exit code.
 
-    `plot` (svg only) returns the cloud, the witness points to highlight
-    and the segments to draw; `csv` (csv only) returns the text.
+    `cloud` (svg only) returns the cloud to draw under the witness, the
+    payload or its "witness": its points, if any, are circled and joined by
+    its kind, in a ring for a triangle or rectangle, else as a fan from the
+    apex, the first point.  `csv` (csv only) returns the text.
     """
     if args.format == "json":
         parts = _json_text(payload)
@@ -184,11 +173,18 @@ def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
             raise AngleLabError(f"csv output is not defined for '{args.command}'")
         parts = [csv()]
     else:
-        if plot is None:
+        if cloud is None:
             raise AngleLabError(f"svg output is not defined for '{args.command}'")
-        cloud, marks, segments = plot()
+        cloud = cloud()
         if cloud.dimension != 2:
             raise AngleLabError("svg output is only available for 2-dimensional clouds")
+        witness = payload.get("witness", payload) or {}
+        kind = witness.get("kind")
+        marks = (kind and witness["points"]) or []
+        if kind in ("triangle", "rectangle"):
+            segments = list(zip(marks, marks[1:] + marks[:1]))
+        else:
+            segments = [(marks[0], arm) for arm in marks[1:]]
         parts = [_svg_scatter(cloud.points, marks, segments)]
     if args.out:
         with open(args.out, "w") as out:
@@ -201,7 +197,7 @@ def _emit(args, code: int, payload: dict, plot=None, csv=None) -> int:
 def _cmd_gasket(args) -> int:
     ifs = gasket_ifs(args.n, args.delta)
     cloud = iterate_cloud(ifs, args.depth, budget=args.budget)
-    return _emit(args, 0, cloud._payload(), lambda: (cloud, [], []), csv=cloud.to_csv)
+    return _emit(args, 0, cloud._payload(), lambda: cloud, csv=cloud.to_csv)
 
 
 def _cmd_certify(args) -> int:
@@ -236,9 +232,8 @@ def _cmd_spectrum(args) -> int:
             for i in range(len(counts))
         ],
     }
-    marks = [] if witness is None else [witness.apex, witness.arm1, witness.arm2]
     code = 0 if witness is not None else 1
-    return _emit(args, code, payload, lambda: (cloud, marks, _triple_segments(marks)))
+    return _emit(args, code, payload, lambda: cloud)
 
 
 def _cmd_minkdim(args) -> int:
@@ -255,28 +250,24 @@ def _cmd_triangle(args) -> int:
     if limits_hit:
         params["limits_hit"] = limits_hit
     if witness is None:
-        code, marks = 1, []
-        payload = _witness_json("triangle", None, None, params)
+        code, payload = 1, _witness_json("triangle", None, None, params)
     else:
-        code, marks = 0, list(witness.vertices)
-        payload = witness.to_json_dict(params)
-    return _emit(args, code, payload, lambda: (cloud, marks, _ring_segments(marks)))
+        code, payload = 0, witness.to_json_dict(params)
+    return _emit(args, code, payload, lambda: cloud)
 
 
 def _cmd_rightangle(args) -> int:
     cloud = _load_cloud(args.cloud)
     witness = near_right_witness(cloud, args.k, args.l)
     payload = witness.to_json_dict()
-    marks = [witness.triple.apex, witness.triple.arm1, witness.triple.arm2]
-    return _emit(args, 0, payload, lambda: (cloud, marks, _triple_segments(marks)))
+    return _emit(args, 0, payload, lambda: cloud)
 
 
 def _cmd_extreme(args) -> int:
     cloud = _load_cloud(args.cloud)
     witness = near_extreme_witness(cloud, args.target)
     payload = witness.to_json_dict("extreme", {"target": args.target})
-    marks = [witness.apex, witness.arm1, witness.arm2]
-    return _emit(args, 0, payload, lambda: (cloud, marks, _triple_segments(marks)))
+    return _emit(args, 0, payload, lambda: cloud)
 
 
 def _cmd_rectangle(args) -> int:
@@ -289,13 +280,8 @@ def _cmd_rectangle(args) -> int:
         "g": args.g,
         "depth": args.depth,
     }
-    marks = list(witness.corners)
-
-    def plot():
-        cloud = iterate_cloud(ifs, args.depth, budget=args.budget)
-        return cloud, marks, _ring_segments(marks)
-
-    return _emit(args, 0, witness.to_json_dict(params), plot)
+    cloud = functools.partial(iterate_cloud, ifs, args.depth, budget=args.budget)
+    return _emit(args, 0, witness.to_json_dict(params), cloud)
 
 
 def _cmd_content(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptyCloud, InvalidScales
-from .geom import PAIR_BLOCK, Point, PointCloud, _column_diffs, _row_groups
+from .geom import PAIR_BLOCK, Point, PointCloud, _bbox, _column_diffs, _row_groups
 
 
 def _normalize_unit(pts: np.ndarray) -> np.ndarray:
@@ -29,8 +29,7 @@ def _normalize_unit(pts: np.ndarray) -> np.ndarray:
     """
     if not len(pts):
         return pts
-    lo = pts.min(axis=0)
-    extent = float((pts.max(axis=0) - lo).max())
+    lo, extent, _ = _bbox(pts)
     if extent <= 1.0:
         return pts - lo
     return (pts - lo) / extent

@@ -343,10 +343,21 @@ def _witness_json(kind: str, points, metric: float | None, params: dict | None) 
     }
 
 
+def _bbox(pts: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Min corner, largest per-axis span and diagonal of the cloud's bounding
+    box; raises AngleLabError, before numpy warns, if the squared diagonal
+    overflows a float."""
+    lo = pts.min(axis=0)
+    with np.errstate(over="ignore"):
+        spans = pts.max(axis=0) - lo
+        diag2 = float(spans @ spans)
+    if diag2 == math.inf:
+        raise AngleLabError("the squared diagonal of the cloud's bounding box overflows a float")
+    return lo, float(spans.max()), math.sqrt(diag2)
+
+
 def _cloud_threshold(pts: np.ndarray) -> float:
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    diag = math.sqrt(float(spans @ spans))
-    return max(DEGENERACY_ABS, DEGENERACY_REL * diag)
+    return max(DEGENERACY_ABS, DEGENERACY_REL * _bbox(pts)[2])
 
 
 def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:

@@ -148,9 +148,9 @@ def iterate_cloud(ifs: HomotheticIFS, depth: int, budget: int = DEFAULT_POINT_BU
     if depth < 0:
         raise InvalidDepth("depth must be >= 0")
     m = len(ifs.maps)
-    total = m ** (depth + 1)
-    if total > budget:
-        raise BudgetExceeded(f"{total} points exceed the budget of {budget}")
+    # m >= 2, so past the budget's bit length the power exceeds it unformed
+    if depth >= budget.bit_length() or m ** (depth + 1) > budget:
+        raise BudgetExceeded(f"{m}^{depth + 1} points exceed the budget of {budget}")
 
     ratios = np.array([h.ratio for h in ifs.maps], dtype=float)
     offsets = np.array([h.offset for h in ifs.maps], dtype=float)

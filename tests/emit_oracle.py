@@ -1,10 +1,12 @@
-"""Reference cloud I/O: the per-value code that the array writers replaced.
+"""Reference CLI output: the per-value code that the array writers replaced,
+and the per-handler choice of what an svg draws.
 
 `json_text` is the whole-payload `json.dumps` the CLI wrote, `cloud_dict`
 and `to_csv` the per-float JSON layout and csv of `PointCloud`,
-`occupied_cells` the tuple-per-point cell set of `from_points`, and
+`occupied_cells` the tuple-per-point cell set of `from_points`,
 `dedup` the structured-view `np.unique` that `PointCloud` dropped
-duplicates with.  Tests compare the library against them.
+duplicates with, and `svg_marks` the witness points and segments each
+CLI handler chose for its svg.  Tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -48,3 +50,20 @@ def dedup(arr: np.ndarray) -> np.ndarray:
     if first.shape[0] == arr.shape[0]:
         return arr
     return arr[np.sort(first)]
+
+
+def svg_marks(command: str, witness) -> tuple[list, list]:
+    """The points the CLI's `command` highlighted on its svg, and the
+    segments it drew, from the library's witness object (None for `gasket`
+    and a miss): a ring through a triangle's vertices or a rectangle's
+    corners, and a fan from the apex to both arms of any other witness."""
+    if witness is None:
+        return [], []
+    if command in ("triangle", "rectangle"):
+        marks = list(witness.vertices if command == "triangle" else witness.corners)
+        ring = [tuple(p) for p in marks]
+        return marks, [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+    if command == "rightangle":
+        witness = witness.triple
+    marks = [witness.apex, witness.arm1, witness.arm2]
+    return marks, [(tuple(marks[0]), tuple(arm)) for arm in marks[1:]]

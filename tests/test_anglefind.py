@@ -16,6 +16,7 @@ from anglelab.anglefind import (
     ramsey_bound,
     regularity_params,
 )
+from anglelab.dimension import minkowski_dimension_estimate, well_spread_subset
 from anglelab.errors import (
     AngleLabError,
     InvalidArity,
@@ -408,3 +409,30 @@ def test_witness_payloads_copy_their_params():
         assert out["params"] is not params
         out["params"]["target"] = "straight"
         assert params == {"target": "zero"}
+
+
+@pytest.mark.parametrize("s", [1e154, 1e200, 1e308])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda c: near_extreme_witness(c, "zero"),
+        lambda c: near_extreme_witness(c, "straight"),
+        lambda c: near_right_witness(c, 2, 1),
+        lambda c: almost_regular_triangle(c, 0.5),
+        lambda c: minkowski_dimension_estimate(c, 1, 3),
+        lambda c: well_spread_subset(c, 1.0, 2, 1),
+    ],
+    ids=["zero", "straight", "right", "triangle", "minkdim", "well_spread"],
+)
+def test_searches_refuse_clouds_whose_squared_extent_overflows(s, search):
+    # pytest turns numpy's overflow warnings into errors: the refusal comes first
+    cloud = PointCloud([[0.0, 0.0], [s, 0.0], [0.0, s], [-s, 0.0]])
+    with pytest.raises(AngleLabError, match="squared diagonal .* overflows a float"):
+        search(cloud)
+
+
+def test_triangle_side_ratio_is_finite_below_the_overflow():
+    # at 1e200 the ratio of the raw sides was once NaN, written into the JSON
+    s = 1e150
+    cloud = PointCloud([[0.0, 0.0], [s, 0.0], [s / 2, s * math.sqrt(3) / 2]])
+    assert math.isfinite(almost_regular_triangle(cloud, 0.5).side_ratio)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import time
 import warnings
 from pathlib import Path
 
@@ -15,11 +16,12 @@ import pack_oracle
 import spectrum_oracle
 from anglelab import PointCloud
 from anglelab import cli, dimension
+from anglelab.anglefind import almost_regular_triangle, near_extreme_witness, near_right_witness
 from anglelab.cli import build_parser, main
 from anglelab.content import DyadicGrid
 from anglelab.errors import AngleLabError
-from anglelab.geom import AngleInterval, _apex_pair_angles
-from anglelab.ifs import deviation_of_corners
+from anglelab.geom import AngleInterval, _apex_pair_angles, spectrum_hits
+from anglelab.ifs import deviation_of_corners, gasket_ifs, iterate_cloud, rectangle_in
 
 EQ_CLOUD = {
     "dimension": 2,
@@ -496,6 +498,62 @@ def test_svg_draws_each_witness(tmp_path):
         assert svg.count("<line") == lines
 
 
+COLLINEAR = {"dimension": 2, "points": [[0, 0], [1, 0], [2, 0]]}
+RIGHT = {"dimension": 2, "points": [[0, 0], [3, 0], [0, 3]]}
+SKEW = {"dimension": 2, "points": [[0, 0], [2, 0], [0, 1], [2, 1], [5, 3]]}
+
+
+def _gasket_rectangle(delta, depth, f, g):
+    return lambda cloud: rectangle_in(gasket_ifs(2, delta), f, g, depth)
+
+
+# (argv, cloud: a cloud dict or the (delta, depth) of a planar gasket,
+# the library's witness on that cloud, exit code), two clouds per case
+SVG_CASES = [
+    ("gasket --n 2 --delta 0.45 --depth 2", (0.45, 2), lambda c: None, 0),
+    ("gasket --n 2 --delta 0.3 --depth 3", (0.3, 3), lambda c: None, 0),
+    *[
+        (f"spectrum --cloud {{cloud}} --alpha {alpha} --window 5", cloud, hit, code)
+        for alpha, code in ((60, 0), (30, 1))
+        for cloud in (EQ_CLOUD, (0.005, 2))
+        for hit in [lambda c, alpha=alpha: spectrum_hits(c, AngleInterval(alpha, 5))]
+    ],
+    ("triangle --cloud {cloud} --delta 0.5", EQ_CLOUD, lambda c: almost_regular_triangle(c, 0.5), 0),
+    ("triangle --cloud {cloud} --delta 0.3", (0.3, 3), lambda c: almost_regular_triangle(c, 0.3), 0),
+    ("triangle --cloud {cloud} --delta 0.5", COLLINEAR, lambda c: None, 1),
+    ("triangle --cloud {cloud} --delta 0.5", (0.45, 2), lambda c: None, 1),
+    ("rightangle --cloud {cloud} --k 2 --l 1", RIGHT, lambda c: near_right_witness(c, 2, 1), 0),
+    ("rightangle --cloud {cloud} --k 10 --l 8", (0.005, 3), lambda c: near_right_witness(c, 10, 8), 0),
+    *[
+        (f"extreme --cloud {{cloud}} --target {target}", cloud, extreme, 0)
+        for target in ("zero", "straight")
+        for cloud in (COLLINEAR, SKEW, (0.2, 2))
+        for extreme in [lambda c, target=target: near_extreme_witness(c, target)]
+    ],
+    ("rectangle --n 2 --delta 0.45 --depth 2 --f 0 --g 1", (0.45, 2), _gasket_rectangle(0.45, 2, 0, 1), 0),
+    ("rectangle --n 2 --delta 0.2 --depth 2 --f 1 --g 2", (0.2, 2), _gasket_rectangle(0.2, 2, 1, 2), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, cloud, witness, code",
+    SVG_CASES,
+    ids=[f"{argv.split()[0]}-{i}" for i, (argv, *_) in enumerate(SVG_CASES)],
+)
+def test_svg_draws_the_witness_each_handler_chose(tmp_path, argv, cloud, witness, code):
+    """Every svg is `_svg_scatter` over the witness points and segments
+    that `emit_oracle.svg_marks` takes from the library's witness."""
+    if isinstance(cloud, tuple):
+        cloud = iterate_cloud(gasket_ifs(2, cloud[0]), cloud[1]).to_json_dict()
+    path = write_cloud(tmp_path, cloud)
+    cloud = PointCloud.from_json_dict(cloud)
+    out = tmp_path / "plot.svg"
+    assert main([*argv.format(cloud=path).split(), "--format", "svg", "--out", str(out)]) == code
+    marks, segments = emit_oracle.svg_marks(argv.split()[0], witness(cloud))
+    assert (code == 0) == bool(marks) or argv.startswith("gasket")
+    assert out.read_text() == cli._svg_scatter(cloud.points, marks, segments)
+
+
 def test_svg_requires_planar_cloud(capsys, tmp_path):
     cloud = write_cloud(
         tmp_path,
@@ -514,6 +572,35 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["extreme", "--cloud", cloud, "--target", "sideways"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("s", [1e154, 1e200, 1e308])
+def test_clouds_whose_squared_extent_overflows_exit_2(capsys, tmp_path, s):
+    cloud = write_cloud(tmp_path, {"dimension": 2, "points": [[0, 0], [s, 0], [0, s], [-s, 0]]})
+    for argv in (
+        "spectrum --alpha 90 --window 90",
+        "spectrum --alpha 90 --window 90 --budget 2",
+        "extreme --target straight",
+        "minkdim --kmin 1 --kmax 3",
+        "triangle --delta 0.5",
+        "rightangle --k 2 --l 1",
+        "rasterize --m 3 --normalize",
+    ):
+        assert main([*argv.split(), "--cloud", cloud]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = "invalid input: the squared diagonal of the cloud's bounding box overflows a float"
+        assert want in captured.err
+
+
+def test_depth_past_any_budget_exits_3_before_forming_the_point_count(capsys):
+    start = time.perf_counter()
+    assert main(["gasket", "--n", "2", "--delta", "0.1", "--depth", "1000000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "3^1000000001 points exceed the budget of 2000000" in capsys.readouterr().err
+    rectangle = "rectangle --n 2 --delta 0.1 --f 0 --g 1 --depth 10000"
+    assert main([*rectangle.split(), "--format", "svg"]) == 3
+    assert "3^10001 points exceed the budget of 2000000" in capsys.readouterr().err
 
 
 NESTED = "[" * 100_000 + "]" * 100_000

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anglelab.errors import (
+    AngleLabError,
     DegenerateVector,
     DimensionMismatch,
     EmptyCloud,
@@ -300,3 +301,20 @@ def test_triple_witness_json_shape():
     assert d["points"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     assert d["metric"] == 90.0
     assert d["params"] == {"window": [89.0, 91.0]}
+
+
+def square_corners(s: float) -> PointCloud:
+    """The origin with three points at distance s, a right angle at the origin."""
+    return PointCloud([[0.0, 0.0], [s, 0.0], [0.0, s], [-s, 0.0]])
+
+
+def test_spectrum_refuses_a_cloud_whose_squared_extent_overflows():
+    # (2s)^2 + s^2 overflows a float from s = 1e154 on; the scan once read
+    # every arm as degenerate there and called the window empty
+    window = AngleInterval(90.0, 90.0)
+    want = TripleWitness((0.0, 0.0), (1e150, 0.0), (0.0, 1e150), 90.0)
+    assert spectrum_hits(square_corners(1e150), window) == want
+    for s in (1e154, 1e200, 1e308):
+        for budget in (None, 2):
+            with pytest.raises(AngleLabError, match="squared diagonal .* overflows a float"):
+                spectrum_hits(square_corners(s), window, budget=budget)

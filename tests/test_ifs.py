@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anglelab.errors import (
@@ -117,6 +117,22 @@ def test_iterate_cloud_depth0_and_validation():
         iterate_cloud(ifs, -1)
     with pytest.raises(BudgetExceeded):
         iterate_cloud(ifs, 3, budget=80)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 40), st.integers(-2, 5000))
+@example(n=2, depth=6, budget=3**7)
+@example(n=2, depth=6, budget=3**7 - 1)
+@example(n=3, depth=2, budget=2**6 - 1)
+@example(n=3, depth=2, budget=2**6)
+def test_iterate_cloud_refuses_exactly_past_the_budget(n, depth, budget):
+    m = n + 1
+    if m ** (depth + 1) > budget:
+        message = rf"^{m}\^{depth + 1} points exceed the budget of {budget}$"
+        with pytest.raises(BudgetExceeded, match=message):
+            iterate_cloud(gasket_ifs(n, 0.25), depth, budget=budget)
+    else:
+        assert len(iterate_cloud(gasket_ifs(n, 0.25), depth, budget=budget)) == m ** (depth + 1)
 
 
 def test_iterate_cloud_depth1_oracle():
