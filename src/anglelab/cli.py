@@ -164,17 +164,14 @@ def _emit(args, code: int, payload: dict, cloud=None, csv=None) -> int:
     `cloud` (svg only) returns the cloud to draw under the witness, the
     payload or its "witness": its points, if any, are circled and joined by
     its kind, in a ring for a triangle or rectangle, else as a fan from the
-    apex, the first point.  `csv` (csv only) returns the text.
+    apex, the first point.  `csv` (csv only) returns the text.  `build_parser`
+    offers a format only to the subcommands whose handler passes these.
     """
     if args.format == "json":
         parts = _json_text(payload)
     elif args.format == "csv":
-        if csv is None:
-            raise AngleLabError(f"csv output is not defined for '{args.command}'")
         parts = [csv()]
     else:
-        if cloud is None:
-            raise AngleLabError(f"svg output is not defined for '{args.command}'")
         cloud = cloud()
         if cloud.dimension != 2:
             raise AngleLabError("svg output is only available for 2-dimensional clouds")
@@ -310,19 +307,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, handler):
+    def add(name: str, help_text: str, handler, formats=("json",)):
         p = sub.add_parser(name, help=help_text, epilog=_EPILOG)
         p.set_defaults(handler=handler)
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument(
             "--format",
-            choices=("json", "csv", "svg"),
+            choices=formats,
             default="json",
-            help="output format (csv/svg only where defined; svg needs d=2)",
+            help="output format" + (" (svg needs d=2)" if "svg" in formats else ""),
         )
         return p
 
-    p = add("gasket", "generate a gasket iterate as a point cloud", _cmd_gasket)
+    svg = ("json", "svg")
+    p = add(
+        "gasket", "generate a gasket iterate as a point cloud", _cmd_gasket, ("json", "csv", "svg")
+    )
     p.add_argument("--n", type=int, required=True, help="ambient simplex dimension")
     p.add_argument("--delta", type=float, required=True, help="contraction ratio")
     p.add_argument("--depth", type=int, required=True, help="iteration depth")
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, help="window center, degrees")
     p.add_argument("--window", type=float, required=True, help="window radius, degrees")
 
-    p = add("spectrum", "scan a cloud's apex angles against a window", _cmd_spectrum)
+    p = add("spectrum", "scan a cloud's apex angles against a window", _cmd_spectrum, svg)
     p.add_argument("--cloud", required=True, help="cloud file (.json or .csv)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--window", type=float, required=True)
@@ -346,20 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
 
-    p = add("triangle", "find an almost-regular triangle", _cmd_triangle)
+    p = add("triangle", "find an almost-regular triangle", _cmd_triangle, svg)
     p.add_argument("--cloud", required=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = add("rightangle", "find a near-right angle by projection", _cmd_rightangle)
+    p = add("rightangle", "find a near-right angle by projection", _cmd_rightangle, svg)
     p.add_argument("--cloud", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
 
-    p = add("extreme", "find the smallest or largest angle", _cmd_extreme)
+    p = add("extreme", "find the smallest or largest angle", _cmd_extreme, svg)
     p.add_argument("--cloud", required=True)
     p.add_argument("--target", choices=("zero", "straight"), required=True)
 
-    p = add("rectangle", "find a near-rectangle from two gasket maps", _cmd_rectangle)
+    p = add("rectangle", "find a near-rectangle from two gasket maps", _cmd_rectangle, svg)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--f", type=int, required=True, help="first map index")

@@ -45,7 +45,17 @@ def _sq_dists(x: np.ndarray, i: np.ndarray, y: np.ndarray, j: np.ndarray) -> np.
 def _cells(pts: np.ndarray, side: float) -> np.ndarray:
     """floor(pts / side) as int64 cell indices.  Raises InvalidScales before
     the cast if an index, its ±1 or the difference of any two, which
-    `_cell_slab` forms, would leave int64."""
+    `_cell_slab` forms, would leave int64.
+
+    The lemma the dyadic scans rest on: for nonnegative coordinates and a
+    power of two `side`, two points whose squared distance, computed as
+    `_sq_dists` computes it, is below side² have cells within one of each
+    other on every axis.  Rounding is monotone and side² is a float, so
+    each rounded axis difference is below side, and so is each true one;
+    division by a power of two is exact wherever the floor is not 0.  At
+    side² itself the cells may be two apart: the float just below side is
+    in cell 0, and its difference to 2*side, in cell 2, rounds to side.
+    """
     with np.errstate(all="ignore"):  # inf and NaN, from overflow or side 0, fail the check
         cells = np.floor(pts / side)
     lo, hi = float(cells.min()), float(cells.max())
@@ -100,18 +110,14 @@ def _ragged_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class _Drops:
-    """Where `_greedy_pack_indices` records why it dropped each point.
+    """How far `_greedy_pack_indices` reached to drop a point: `farthest`
+    is at least the squared distance from each dropped point to the
+    earlier kept point that dropped it, and infinite if the record was
+    given up."""
 
-    dropper[i] is a kept point within 2*epsilon of i that comes before
-    it, so that the index-order loop may drop i for it, or i itself if i
-    is kept; `farthest` is at least each of those squared distances, and
-    infinite if the record was given up.
-    """
+    __slots__ = ("farthest",)
 
-    __slots__ = ("dropper", "farthest")
-
-    def __init__(self, n: int) -> None:
-        self.dropper = np.empty(n, dtype=np.int64)
+    def __init__(self) -> None:
         self.farthest = 0.0
 
 
@@ -142,11 +148,11 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float, drops: _Drops | None =
     root: the cell of the first alive point.  Distances are those of the
     loop, bit for bit: x - y is exactly -(y - x).
 
-    If `drops` is given, a fresh record, it is filled in from the kills:
-    a root's first point kills itself, at distance 0, and every other
-    point it kills comes after it.  A kill farther than a quarter of the
-    limit sets `farthest` to infinity and ends the record, since no finer
-    dyadic scale could reuse the packing.
+    If `drops` is given, a fresh record, `farthest` becomes the largest
+    squared distance at which a root's first point kills, itself at 0
+    included; every other point it kills comes after it.  A kill at a
+    quarter of the limit or farther sets `farthest` to infinity and ends
+    the record, since no finer dyadic scale could reuse the packing.
     """
     n = pts.shape[0]
     cells = _cells(pts, 2.0 * epsilon)
@@ -191,15 +197,11 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float, drops: _Drops | None =
             cand = live[_ragged_range(start[near], count[near])]
             dist = _sq_dists(cols, src, cols, cand)
             hit = np.flatnonzero(dist <= limit)  # never empty: each root hits itself
-            dead = cand[hit]
-            alive[dead] = False
+            alive[cand[hit]] = False
             if drops is not None and drops.farthest < np.inf:
                 far = float(dist[hit].max())
-                if far > limit / 4:  # past the next dyadic scale's limit: stop recording
-                    drops.farthest = np.inf
-                else:
-                    drops.farthest = max(drops.farthest, far)
-                    drops.dropper[dead] = src[hit]
+                # at the next dyadic scale's limit or past it: stop recording
+                drops.farthest = np.inf if far >= limit / 4 else max(drops.farthest, far)
         survive = alive[live]
         live, live_cell = live[survive], live_cell[survive]
     return np.flatnonzero(kept).tolist()
@@ -208,10 +210,8 @@ def _greedy_pack_indices(pts: np.ndarray, epsilon: float, drops: _Drops | None =
 def _dyadic_packings(pts: np.ndarray, ks):
     """Yield (k, kept) for increasing `ks`, `kept` being the packing at
     radius 2^-k of `pts` in the unit cube.  A packing at k is yielded
-    again at a finer scale j, without packing, while every point it
-    dropped is still within reach of the kept point that dropped it:
-    squared distance at most 4^(1-j), and cells of side 2^(1-j) within
-    one on every axis.
+    again at a finer scale j, without packing, while its farthest kill
+    lies strictly inside the limit at j: `farthest` < 4^(1-j).
 
     The packing at j is then the one at k.  Call two points linked at j
     if the pass at j compares them and finds them within its limit.  The
@@ -220,27 +220,23 @@ def _dyadic_packings(pts: np.ndarray, ks):
     linked at j is linked at k.  Go through the points in index order.
     A point kept at k has no earlier kept point linked to it at k, so
     none linked to it at j either, and is kept at j.  A point dropped at
-    k is still linked at j to its dropper, an earlier point kept at k and
-    so at j, and is dropped at j.  A packing that keeps every point has
-    no dropped point, so it stays the packing at every finer scale.  The
-    cells are formed at each scale as packing would form them, so a
-    scale too fine for int64 cells raises InvalidScales either way."""
+    k was dropped for an earlier point kept at k, and so at j, at a
+    squared distance below 4^(1-j); by the lemma on `_cells` their cells
+    at j are within one on every axis, so the two are linked at j and the
+    point is dropped at j.  A packing that keeps every point drops none,
+    so it stays the packing at every finer scale.  At a reused scale only
+    the cloud's two extreme coordinates are cut into cells: the floor is
+    monotone, so InvalidScales is raised exactly where packing would."""
+    extremes = np.array([[pts.min(), pts.max()]])
     kept = None
     for k in ks:
         epsilon = 2.0 ** (-k)
-        if kept is None or not _still_dropped(pts, drops, epsilon):
-            drops = _Drops(len(pts))
+        if kept is None or drops.farthest >= (2.0 * epsilon) ** 2:
+            drops = _Drops()
             kept = _greedy_pack_indices(pts, epsilon, drops)
+        else:
+            _cells(extremes, 2.0 * epsilon)
         yield k, kept
-
-
-def _still_dropped(pts: np.ndarray, drops: _Drops, epsilon: float) -> bool:
-    """Whether the packing at radius epsilon would compare each point
-    with its dropper and find them within 2*epsilon."""
-    if drops.farthest > (2.0 * epsilon) ** 2:
-        return False
-    cells = _cells(pts, 2.0 * epsilon)
-    return bool((np.abs(cells[drops.dropper] - cells) <= 1).all())
 
 
 @dataclass(frozen=True)
@@ -358,18 +354,17 @@ def _well_spread_core(
 
     Buckets are counted by a cell join: each fine point is tested only
     against the coarse centers within one cell of its own on every axis,
-    found by `_cell_slab` on cells of side 2^(-l+1).  The radius is a
-    power of two, so the cells are exact, and a pair whose rounded
-    distance passes the test is at most one cell apart on every axis,
-    once the coordinate just below the radius is counted in cell 1 (its
-    difference to twice the radius rounds to the radius itself).
+    found by `_cell_slab` on cells of side r = 2^(-l+1).  By the lemma on
+    `_cells`, a pair whose rounded squared distance passes the test, at
+    most r², is at most one cell apart on every axis, once the float just
+    below r, the lemma's tie, is counted in cell 1.
 
     The same packing as both fine and coarse, which the triangle scan
     passes at each scale whose packing is reused, gives [fine_idx[0]]
     without the join when none of its coordinates is that float.  Two of
-    its points are more than the radius apart if the packing at 2^-l
-    compared them, and by the lemma above if their cells are further
-    apart, so every bucket holds its center alone.
+    its points are more than r apart if the packing at 2^-l compared
+    them, and by the lemma if their cells are further apart, so every
+    bucket holds its center alone.
     """
     fine, centers = pts[fine_idx], pts[coarse_idx]
     radius = 2.0 ** (-l + 1)

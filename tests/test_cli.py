@@ -841,17 +841,29 @@ def test_rightangle_at_the_finest_int64_scale_keeps_its_output(capsys, tmp_path)
     [
         "minkdim --cloud {cloud} --kmin 2 --kmax 6 --format csv",
         "certify --n 2 --delta 0.005 --alpha 30 --window 5 --format svg",
+        # 192,913,812 triples on the 729-point cloud
+        "spectrum --cloud {cloud} --alpha 30 --window 5 --format csv",
     ],
 )
-def test_output_format_a_subcommand_lacks_exits_2_without_writing(capsys, tmp_path, argv):
+def test_output_format_a_subcommand_lacks_exits_2_without_writing(
+    capsys, monkeypatch, tmp_path, argv
+):
+    # a usage error: the parser refuses the format before any work
     cloud = str(tmp_path / "cloud.json")
-    assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "3", "--out", cloud]) == 0
-    command, *_, fmt = argv.split()
+    assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "5", "--out", cloud]) == 0
+
+    def scan(*args, **kwargs):
+        raise AssertionError("a triple was scanned")
+
+    monkeypatch.setattr(cli, "_triple_angle_blocks", scan)
+    fmt = argv.split()[-1]
     out = tmp_path / "out"
-    assert main(argv.format(cloud=cloud).split() + ["--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(cloud=cloud).split() + ["--out", str(out)])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"anglelab: invalid input: {fmt} output is not defined for '{command}'" in captured.err
+    assert f"argument --format: invalid choice: '{fmt}'" in captured.err
     assert not out.exists()
 
 

@@ -455,6 +455,104 @@ def test_dyadic_packings_are_the_loop_on_clustered_clouds(pts, k_min, step):
         assert kept == want
 
 
+@st.composite
+def dyadic_pairs(draw):
+    """A dyadic cell side s = 2^(1-j) and two points of nonnegative
+    coordinates up to 4s, each coordinate 0, a subnormal, the float just
+    below s, 2s or 3s, one of those sides, an exact dyadic multiple of s,
+    or any float in [0, 4s]."""
+    s = 2.0 ** (1 - draw(st.integers(-8, 64)))
+    edges = [0.0, 5e-324, 2.0**-1040, s, 2 * s, 3 * s]
+    coordinate = st.one_of(
+        st.sampled_from(edges + [float(np.nextafter(e, 0.0)) for e in edges[3:]]),
+        st.builds(lambda m, e: m * s * 2.0**-e, st.integers(0, 64), st.integers(0, 8)),
+        st.floats(0.0, 4 * s),
+    )
+    d = draw(st.integers(1, 4))
+    return s, np.array([[draw(coordinate) for _ in range(d)] for _ in range(2)])
+
+
+@SETTINGS
+@given(dyadic_pairs())
+@example((0.25, np.array([[np.nextafter(0.25, 0.0), 0.0], [0.5, 0.0]])))
+def test_a_pair_strictly_inside_a_dyadic_limit_has_cells_within_one(case):
+    # the lemma on _cells, which lets _dyadic_packings reuse a packing
+    # while its farthest kill is below the finer limit
+    s, pts = case
+    cols, first, second = pts.T.copy(), np.array([0]), np.array([1])
+    sq = float(dimension._sq_dists(cols, first, cols, second)[0])
+    gap = np.abs(np.diff(dimension._cells(pts, s), axis=0)).max()
+    if sq < s * s:
+        assert gap <= 1
+    elif sq == s * s and gap == 2:
+        # the tie: the float just below s, in cell 0, and 2s, in cell 2
+        assert (pts == np.nextafter(s, 0.0)).any()
+
+
+@settings(SETTINGS, max_examples=80)
+@given(clustered_clouds(), st.integers(0, 40))
+def test_the_drop_record_bounds_every_kill(pts, k):
+    epsilon = 2.0**-k
+    drops = dimension._Drops()
+    kept = _greedy_pack_indices(pts, epsilon, drops)
+    assert kept == oracle.greedy_pack_indices(pts, epsilon)
+    if drops.farthest == np.inf:
+        return
+    cols = pts.T.copy()
+    for i in sorted(set(range(len(pts))) - set(kept)):
+        earlier = np.array([p for p in kept if p < i])
+        sq = dimension._sq_dists(cols, earlier, cols, np.full(len(earlier), i))
+        assert sq.min() <= drops.farthest
+
+
+def test_a_kill_at_a_finer_limit_is_packed_there():
+    # the packing at scale 1 drops point 1 at squared distance 1/16, the
+    # limit at scale 3, where the two points are cells 0 and 2 apart
+    pts = np.array([[np.nextafter(0.25, 0.0), 0.0], [0.5, 0.0]])
+    got = list(_dyadic_packings(pts, [1, 2, 3]))
+    assert got == [(1, [0]), (2, [0]), (3, [0, 1])]
+    assert [oracle.greedy_pack_indices(pts, 2.0**-k) for k in (1, 2, 3)] == [[0], [0], [0, 1]]
+
+
+@pytest.mark.parametrize("scan", ["triangle", "minkdim"])
+def test_a_reused_scale_forms_no_cloud_cells(scan):
+    # the cells _dyadic_packings forms while it yields each scale: a packed
+    # scale cuts the whole cloud, a reused one only its two extremes
+    packed: list[float] = []
+    counted, noted = _counted_packings(packed, [])
+    shapes: list[tuple] = []
+    real_cells = dimension._cells
+
+    def cells(pts, side):
+        shapes.append(pts.shape)
+        return real_cells(pts, side)
+
+    formed: dict[int, list[tuple]] = {}
+
+    def scan_cells(pts, ks):
+        gen = noted(pts, ks)
+        while True:
+            shapes.clear()  # the caller's cells between two scales do not count
+            try:
+                k, kept = next(gen)
+            except StopIteration:
+                return
+            formed[k] = list(shapes)
+            yield k, kept
+
+    module = anglefind if scan == "triangle" else dimension
+    with mock.patch.object(dimension, "_greedy_pack_indices", counted), mock.patch.object(
+        dimension, "_cells", cells
+    ), mock.patch.object(module, "_dyadic_packings", scan_cells):
+        if scan == "triangle":
+            almost_regular_triangle(_G2D3, 0.3)
+        else:
+            minkowski_dimension_estimate(_G2D3, 6, 12)
+    assert len(formed) == (25 if scan == "triangle" else 7)
+    for k, got in formed.items():
+        assert got == ([(len(_G2D3), 2)] if k in packed else [(1, 2)])
+
+
 @settings(SETTINGS, max_examples=80)
 @given(clustered_clouds(), st.integers(1, 30), st.integers(1, 8))
 def test_scale_pair_searches_are_the_oracles_on_clustered_clouds(pts, l, gap):
