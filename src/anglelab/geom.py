@@ -367,24 +367,50 @@ def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:
     `keys(i, j)` maps equal-length index arrays with i < j to a tuple of
     key arrays, and `lower(gap)`, nondecreasing, bounds the first key of
     every pair whose projections differ by `gap` from below.
+
+    Each step takes the rank offsets s .. s+w-1 from the start positions
+    still live: offset 1 from every start first, then w = s - 1, so each
+    step doubles the largest offset visited (1, 2, 3-4, 5-8, ...), but at
+    most (n-1) // starts offsets, so no step holds more than n-1 pairs.
+    A start drops out once the gap at its next offset bounds the key
+    above the best so far, since gaps only grow with the offset.  Within
+    a step, pairs are pruned by the previous step's best: a pair that a
+    fresher best would have pruned has its first key above that best, so
+    strictly above the final one, and can neither win nor tie.  Ties go
+    by successive minima over the tied subset, key by key, then i, then
+    j, in time linear in the ties.
     """
+    n = len(proj)
     order = np.argsort(proj, kind="stable")
     ranked = proj[order]
-    start = np.arange(len(proj) - 1)
+    start = np.arange(n - 1)
     best = None
-    s = 1
+    s = w = 1
     while start.size:
-        a, b = order[start], order[start + s]
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        key = keys(i, j)
-        tie = np.flatnonzero(key[0] == key[0].min())
-        i, j, key = i[tie], j[tie], [k[tie] for k in key]
-        t = np.lexsort((j, i, *key[::-1]))[0]
-        pair = (*(float(k[t]) for k in key), int(i[t]), int(j[t]))
+        # rebinding i and j frees each rank array before `keys` runs
+        if w == 1:
+            i, j = order[start], order[start + s]
+        else:  # offset s is pruned already
+            # a row per offset, so numpy's inner loops run over the starts
+            j = np.arange(s, s + w)[:, None] + start
+            live = lower(ranked.take(j, mode="clip") - ranked[start]) <= best[0]
+            live &= j < n
+            i, j = order[np.broadcast_to(start, j.shape)[live]], order[j[live]]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        cols = (*keys(i, j), i, j)
+        tie = np.flatnonzero(cols[0] == cols[0].min())
+        for col in cols[1:]:
+            if tie.size == 1:
+                break
+            tied = col[tie]
+            tie = tie[tied == tied.min()]
+        t = tie[0]
+        pair = (*(float(k[t]) for k in cols[:-2]), int(i[t]), int(j[t]))
         best = pair if best is None else min(best, pair)
-        s += 1
-        start = start[: np.searchsorted(start, len(proj) - s)]
+        s += w
+        start = start[: np.searchsorted(start, n - s)]
         start = start[lower(ranked[start + s] - ranked[start]) <= best[0]]
+        w = min(s - 1, (n - 1) // max(start.size, 1))
     return best[-2], best[-1]
 
 
@@ -435,12 +461,13 @@ def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
     return arms, iu, ju, ang
 
 
-def _fresh_keys(rng, n: int, take: int, kept: np.ndarray) -> np.ndarray:
-    """Keys (apex*n + i)*n + j, i < j, of one round of `take` draws: each
-    valid key not in `kept` once, at its first draw, in draw order.  A
-    key's first draw is the least draw index in its run of the unstable
-    sort.  For n < 2^31, int32 arm draws equal int64 ones and leave the
-    generator in the same state."""
+def _fresh_keys(rng, n: int, take: int, kept: np.ndarray, limit: int) -> np.ndarray:
+    """Sorted keys (apex*n + i)*n + j, i < j, of one round of `take`
+    draws: of the valid keys not in `kept`, the `limit` first drawn (all,
+    if fewer).  A key's first draw is the least draw index in its run of
+    the unstable sort; first draws are distinct, so the limit-th least of
+    them keeps exactly `limit` keys.  For n < 2^31, int32 arm draws equal
+    int64 ones and leave the generator in the same state."""
     a = rng.integers(0, n, size=take)
     i = rng.integers(0, n, size=take, dtype=np.int32)
     j = rng.integers(0, n, size=take, dtype=np.int32)
@@ -464,15 +491,18 @@ def _fresh_keys(rng, n: int, take: int, kept: np.ndarray) -> np.ndarray:
     del ranked, runs
     fresh = ~np.isin(keys, kept, assume_unique=True)
     keys, first = keys[fresh], first[fresh]
-    return keys[np.argsort(first)]  # first draws are distinct
+    if len(keys) > limit:
+        keys = keys[first <= np.partition(first, limit - 1)[limit - 1]]
+    return keys
 
 
 def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
     """Sorted keys (apex*n + i)*n + j, i < j, of a seeded sample of
     `budget` distinct triples.
 
-    Each round draws index triples and keeps, in draw order, the valid
-    ones not kept before; the caller ensures more than `budget` exist.
+    Each round draws index triples and keeps the valid ones not kept
+    before, up to the budget, by their first draws; the caller ensures
+    more than `budget` exist.
     Keys in int64 bound n by 2^21 - 1.  Peak bytes per budget triple, in
     the first round's 2 draws each: 44 drawing, 66 in the dedupe; 8 held.
     """
@@ -482,7 +512,7 @@ def _sampled_triples(n: int, budget: int, seed: int) -> np.ndarray:
     kept = np.empty(0, dtype=np.int64)  # sorted keys
     while len(kept) < budget:
         take = max(1024, 2 * (budget - len(kept)))
-        new = np.sort(_fresh_keys(rng, n, take, kept)[: budget - len(kept)])
+        new = _fresh_keys(rng, n, take, kept, budget - len(kept))
         kept = np.insert(kept, np.searchsorted(kept, new), new)
     return kept
 

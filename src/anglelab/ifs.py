@@ -164,7 +164,8 @@ def iterate_cloud(ifs: HomotheticIFS, depth: int, budget: int = DEFAULT_POINT_BU
 
 
 def separation_gap(ifs: HomotheticIFS) -> float:
-    """Minimum distance between images of the center hull under map pairs.
+    """A lower bound on the minimum distance between images of the center
+    hull under map pairs, from `hull_distance`.
 
     The convex hull of the centers contains the attractor, so a positive
     value certifies strong separation; 0.0 means separation could not be
@@ -288,7 +289,10 @@ def rectangle_in(
 
     def keys(i, j):
         diff = pts.take(i, axis=0) - pts.take(j, axis=0)
-        return ((proj[i] - proj[j]) ** 2 / np.einsum("ij,ij->i", diff, diff),)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        if not d2.all():  # a key of 0/0 or x/0 orders nothing
+            raise DegenerateVector("the squared length of a chord of the cloud underflows a float")
+        return ((proj[i] - proj[j]) ** 2 / d2,)
 
     i, j = _projection_pair(proj, keys, lambda gap: gap * gap / diam2)
     x, y = pts[i], pts[j]

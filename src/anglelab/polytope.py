@@ -82,13 +82,22 @@ def min_norm_point(vertices, tol: float = 1e-12) -> np.ndarray:
 
 
 def hull_distance(a, b) -> float:
-    """Euclidean distance between the convex hulls of two vertex sets.
+    """A lower bound on the Euclidean distance between the convex hulls of
+    two vertex sets, which is the distance up to Wolfe's tolerance when
+    they are apart.
 
-    Computed as the norm of the minimum-norm point of the Minkowski
-    difference {u - v}; 0.0 means the hulls intersect (or touch).
+    With x the minimum-norm point of the Minkowski difference {u - v} and
+    m the least v.x over its vertices v, every point of that hull has
+    p.x >= m, so it lies at least m / |x| from 0; the bound is that,
+    clipped at 0.  The norm |x| is only an upper bound, and rounding
+    noise above 0 where the hulls overlap; 0.0 means separation could
+    not be certified.
     """
     pa = np.asarray(a, dtype=float)
     pb = np.asarray(b, dtype=float)
     diff = (pa[:, None, :] - pb[None, :, :]).reshape(-1, pa.shape[1])
     x = min_norm_point(diff)
-    return float(np.linalg.norm(x))
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0:
+        return 0.0
+    return max(0.0, float((diff @ x).min()) / norm)

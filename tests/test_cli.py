@@ -322,6 +322,16 @@ def test_rectangle_deviation_recomputes(capsys):
     assert data["metric"] == pytest.approx(deviation_of_corners(corners), abs=1e-12)
 
 
+def test_rectangle_whose_chords_square_to_zero_exits_2(capsys):
+    # at delta = 1e-150 the depth-2 pieces lie 1e-300 apart, whose squares
+    # underflow to 0; their key was 0/0 and the sweep raised an IndexError
+    argv = ["rectangle", "--n", "2", "--delta", "1e-150", "--f", "0", "--g", "1", "--depth", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "underflows a float" in captured.err
+
+
 def test_rasterize_content_zoom_pipeline(capsys, tmp_path):
     cloud_path = str(tmp_path / "g.json")
     grid_path = str(tmp_path / "grid.json")

@@ -195,6 +195,18 @@ def test_separation_gap_identical_centers_zero():
     assert separation_gap(ifs) == 0.0
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.floats(0.55, 0.95))
+def test_overlapping_simplex_systems_are_not_separated(n, ratio):
+    # pieces of ratio above 1/2 at the vertices of a unit simplex overlap;
+    # the norm of Wolfe's point read rounding noise above 0 here (4.8e-18
+    # at n = 2, ratio 0.6), and rectangle_in returned a witness
+    ifs = HomotheticIFS([Homothety(tuple(v), ratio) for v in regular_simplex(n)])
+    assert separation_gap(ifs) == 0.0
+    with pytest.raises(NotSeparated):
+        rectangle_in(ifs, 0, 1, 2)
+
+
 def test_direction_deviation_bound_values():
     # the bound behaves like sqrt(delta) near zero, so it shrinks slowly
     assert direction_deviation_bound(1e-9) < 0.02

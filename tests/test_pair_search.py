@@ -4,10 +4,12 @@ import math
 import tracemalloc
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import pair_oracle as oracle
+from anglelab import ifs as ifs_module
 from anglelab.anglefind import near_right_witness
 from anglelab.errors import AngleLabError
 from anglelab.geom import PointCloud, _projection_pair
@@ -205,3 +207,88 @@ def test_pair_searches_allocate_no_all_pairs_arrays():
     grid = unit_grid(64)
     assert _peak_mb(near_right_witness, grid, 7, 2) < 16.0
     assert _peak_mb(rectangle_in, gasket_ifs(2, 0.45), 0, 1, 7) < 16.0
+
+
+@st.composite
+def tied_clouds(draw):
+    """Clouds whose projections fall in long runs of equal values: lattice
+    points on a few hyperplanes normal to the first axis, projected on
+    it, or gasket clouds, n = 3..5, projected on the axis of a rectangle
+    search (many chords exactly perpendicular to it)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        m = draw(st.integers(2, 400))
+        pts = rng.integers(0, 5, size=(m, d)) / 4.0
+        pts[:, 0] = rng.choice(rng.random(draw(st.integers(1, 5))), size=m)
+        pts = np.unique(pts, axis=0)
+        assume(len(pts) >= 2)
+        pts = pts[rng.permutation(len(pts))]
+        return pts, pts[:, 0].copy()
+    n = draw(st.integers(3, 5))
+    f_index, g_index = draw(st.permutations(range(n + 1)))[:2]
+    depth = draw(st.integers(1, {3: 4, 4: 3, 5: 2}[n]))  # at most 1,024 points
+    ifs = gasket_ifs(n, draw(st.sampled_from([0.2, 0.3, 0.45])))
+    _, _, pts, proj = _rectangle_setup(ifs, f_index, g_index, depth)
+    return pts, proj
+
+
+def _span_search(pts, proj):
+    """`near_right_witness`'s key shape: the gap, then the chord length."""
+
+    def keys(i, j):
+        return np.abs(proj[i] - proj[j]), np.linalg.norm(pts[i] - pts[j], axis=1)
+
+    return keys, lambda gap: gap
+
+
+def _ratio_search(pts, proj):
+    """`rectangle_in`'s key shape: the squared gap over the squared chord."""
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    diam2 = float(extent @ extent) * (1.0 + 1e-9)
+
+    def keys(i, j):
+        diff = pts[i] - pts[j]
+        return ((proj[i] - proj[j]) ** 2 / np.einsum("ij,ij->i", diff, diff),)
+
+    return keys, lambda gap: gap * gap / diam2
+
+
+# point 0 ties with points 1 and 2 on every key, and its pair with 2
+# comes first in projection order
+TIED_ON_ALL_KEYS = (np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0, 0.0]))
+
+
+@given(tied_clouds(), st.sampled_from([_span_search, _ratio_search]))
+@example(TIED_ON_ALL_KEYS, _span_search)
+@example(TIED_ON_ALL_KEYS, _ratio_search)
+@settings(SETTINGS, max_examples=100)
+def test_projection_pair_matches_brute_force_on_equal_projection_runs(cloud, search):
+    pts, proj = cloud
+    keys, lower = search(pts, proj)
+    assert _projection_pair(proj, keys, lower) == oracle.least_pair(len(pts), keys)
+
+
+def test_rectangle_sweep_over_exact_ties_takes_few_bounded_steps():
+    # gasket(4, 0.3) at depth 4: 78,963 of the 79,205 pairs the sweep
+    # visits tie at key 0; one rank offset per step took 242 steps over
+    # the same pairs, and batches left unpruned would visit 86,288
+    sizes, points = [], []
+    real = ifs_module._projection_pair
+
+    def counting(proj, keys, lower):
+        points.append(len(proj))
+
+        def counted(i, j):
+            sizes.append(len(i))
+            return keys(i, j)
+
+        return real(proj, counted, lower)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ifs_module, "_projection_pair", counting)
+        rectangle_in(gasket_ifs(4, 0.3), 0, 1, 4)
+    assert points == [3125]
+    assert len(sizes) <= 40
+    assert max(sizes) <= points[0] - 1
+    assert sum(sizes) == 79_205

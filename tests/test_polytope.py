@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anglelab.errors import BudgetExceeded, EmptyCloud
 from anglelab.polytope import hull_distance, min_norm_point
@@ -127,3 +129,19 @@ def test_hull_distance_matches_polygon_oracle():
         b = rng.normal(size=(6, 2)) + rng.uniform(-4.0, 4.0, size=2)
         expected = _polygon_distance(_chain_hull(a), _chain_hull(b))
         assert abs(hull_distance(a, b) - expected) < 1e-7
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1.0, 1e6]))
+def test_overlapping_hulls_are_at_distance_zero(d, seed, scale):
+    # a holds the cross-polytope of radius `scale` about c, and b a point
+    # within scale / 2 of c in the 1-norm, so b's hull meets the interior
+    # of a's, not only its boundary, whatever b's other vertices are
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=d) * scale
+    cross = np.concatenate([np.eye(d), -np.eye(d)]) * scale
+    a = np.vstack([c + cross, c + rng.normal(size=(rng.integers(0, 4), d)) * scale])
+    inside = c + rng.uniform(-0.5, 0.5, size=d) * scale / d
+    b = np.vstack([inside, inside + rng.normal(size=(rng.integers(0, 5), d)) * 4.0 * scale])
+    assert hull_distance(a, b) == 0.0
+    assert hull_distance(b, a) == 0.0

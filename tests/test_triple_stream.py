@@ -1,5 +1,6 @@
 """The triple-angle stream against the scalar reference scans in spectrum_oracle."""
 
+import copy
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
+from anglelab import geom
 from anglelab.anglefind import near_extreme_witness
 from anglelab.errors import AngleLabError, BudgetExceeded
 from anglelab.geom import (
@@ -85,6 +87,27 @@ def test_sampler_replays_the_reference_draws(size, seed):
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape == (budget, 3)
     assert np.array_equal(got, want)
+
+
+@SETTINGS
+@given(st.integers(5, 40), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_sampler_truncates_a_later_round_to_its_first_draws(n, short, seed):
+    # a budget just below the triple count leaves the first round short,
+    # so the round that fills it holds more fresh keys than it may keep
+    budget = _total_triples(n) - short
+    rounds = []
+    real = geom._fresh_keys
+
+    def spy(rng, n, take, kept, limit):
+        every = real(copy.deepcopy(rng), n, take, kept, take)
+        rounds.append((len(every), limit))
+        return real(rng, n, take, kept, limit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geom, "_fresh_keys", spy)
+        got = _sampled_triples(n, budget, seed)
+    assume(any(fresh > limit for fresh, limit in rounds[1:]))
+    assert np.array_equal(_decoded(got, n), oracle.unique_sampled_triples(n, budget, seed))
 
 
 @SETTINGS
