@@ -210,7 +210,7 @@ def _cmd_spectrum(args) -> int:
     witness = None
     # one pass: the histogram takes every block, the witness the first hit
     for block in _triple_angle_blocks(cloud.points, args.budget, args.seed):
-        counts += np.histogram(block[-1], bins=edges)[0]
+        counts += np.histogram(block[0], bins=edges)[0]
         if witness is None:
             witness = _block_hit(cloud, block, window)
     total = _total_triples(len(cloud))

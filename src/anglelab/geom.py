@@ -6,7 +6,6 @@ All angles are in degrees, as float64.  Inner products are clamped to
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -414,6 +413,30 @@ def _projection_pair(proj: np.ndarray, keys, lower) -> tuple[int, int]:
     return best[-2], best[-1]
 
 
+def _apex_batch(pts: np.ndarray, apexes: np.ndarray, threshold: float):
+    """The exhaustive kernel: (apexes, arms, cos) for a batch of
+    consecutive `apexes`, where arm r of apex a is point r + (r >= a) and
+    cos[k] holds the inner products of apex k's unit arms, unclipped.
+
+    The batch stops before the first apex with an arm no longer than
+    `threshold`; such an apex, if first, is its batch alone, without
+    those arms.  The one matmul calls, per apex, the BLAS routine of
+    `unit @ unit.T`, so the cosines are those of a one-apex batch.
+    """
+    r = np.arange(pts.shape[0] - 1)
+    arms = r + (r >= apexes[:, None])
+    vec = pts[arms] - pts[apexes][:, None]
+    rows = vec.reshape(-1, pts.shape[1])
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows)).reshape(arms.shape)
+    short = (norms <= threshold).any(axis=1)
+    k = max(1, int(np.argmax(short))) if short.any() else len(apexes)
+    if short[0]:
+        ok = norms[0] > threshold
+        arms, vec, norms = arms[:, ok], vec[:, ok], norms[:, ok]
+    unit = vec[:k] / norms[:k, :, None]
+    return apexes[:k], arms[:k], np.matmul(unit, unit.transpose(0, 2, 1))
+
+
 def _apex_cosines(pts: np.ndarray, a: int, threshold: float):
     """Inner products of the unit arms at apex index a, unclipped.
 
@@ -422,49 +445,79 @@ def _apex_cosines(pts: np.ndarray, a: int, threshold: float):
     included), or None if fewer than two arms are longer than
     `threshold`.
     """
-    n = pts.shape[0]
-    arms = np.concatenate([np.arange(0, a), np.arange(a + 1, n)])
-    vec = pts[arms] - pts[a]
-    norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
-    ok = norms > threshold
-    arms = arms[ok]
-    if arms.shape[0] < 2:
-        return None
-    unit = vec[ok] / norms[ok][:, None]
-    return arms, unit @ unit.T
+    _, arms, cos = _apex_batch(pts, np.array([a]), threshold)
+    return None if arms.shape[1] < 2 else (arms[0], cos[0])
 
 
-@functools.lru_cache(maxsize=1)
-def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(m, k=1), read-only and kept until another m is
-    asked for or the exhaustive stream ends."""
-    pairs = np.triu_indices(m, k=1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
+def _row_runs(m: int):
+    """Runs [lo, hi) of whole rows of the strict upper triangle of an
+    m x m matrix, of at most PAIR_BLOCK pairs each (one row, if it holds
+    more)."""
+    r = np.arange(m)
+    starts = r * (2 * m - 1 - r) // 2  # each row's first pair, row-major
+    lo = 0
+    while lo < m - 1:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + PAIR_BLOCK, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _pair_mask(m: int, lo: int, hi: int) -> np.ndarray:
+    """Mask of the pairs i < j among rows lo <= i < hi of an m x m matrix."""
+    return np.arange(lo, hi)[:, None] < np.arange(m)
+
+
+def _pair_angles(cos: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Degrees of the clipped cosines where the `upper` mask, of the same
+    shape, is set, in row-major order."""
+    ang = cos[upper]
+    np.clip(ang, -1.0, 1.0, out=ang)
+    np.arccos(ang, out=ang)
+    return np.degrees(ang, out=ang)
 
 
 def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
-    """Angles of all unordered arm pairs at apex index a.
+    """Angles of all unordered arm pairs at apex index a: the exhaustive
+    stream's kernel for one apex, in one block.
 
     Returns (arm_indices, iu, ju, angles) where angles is the condensed
     upper triangle in lexicographic (i, j) order over arm positions, or
-    None if fewer than two valid arms exist.  The index pair (iu, ju) is
-    built once per run of apexes with equal arm counts.
+    None if fewer than two valid arms exist.
     """
     got = _apex_cosines(pts, a, threshold)
     if got is None:
         return None
     arms, cosmat = got
-    iu, ju = _upper_pairs(arms.shape[0])
-    ang = np.degrees(np.arccos(np.clip(cosmat[iu, ju], -1.0, 1.0)))
-    return arms, iu, ju, ang
+    upper = _pair_mask(len(arms), 0, len(arms))
+    return arms, *np.nonzero(upper), _pair_angles(cosmat, upper)
+
+
+def _pair_decoder(apexes: np.ndarray, arms: np.ndarray, lo: int, hi: int):
+    """The decoder of a block of the pairs in rows lo, ..., hi - 1 of each
+    apex's triangle: block positions to (apex, arm1, arm2) indices."""
+
+    def decode(t):
+        k = arms.shape[1]
+        upper = np.broadcast_to(_pair_mask(k, lo, hi), (len(apexes), hi - lo, k))
+        b, i, j = np.unravel_index(np.flatnonzero(upper)[t], upper.shape)
+        return apexes[b], arms[b, i + lo], arms[b, j]
+
+    return decode
+
+
+def _row_decoder(a: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The decoder of a block whose triples are the rows of (a, i, j)."""
+    return lambda t: (a[t], i[t], j[t])
 
 
 def _fresh_keys(rng, n: int, take: int, kept: np.ndarray, limit: int) -> np.ndarray:
     """Sorted keys (apex*n + i)*n + j, i < j, of one round of `take`
     draws: of the valid keys not in `kept`, the `limit` first drawn (all,
-    if fewer).  A key's first draw is the least draw index in its run of
+    if fewer).
+
+    If the first `limit` valid draws are distinct and none is in `kept`,
+    they are those keys: every other fresh key is first drawn later.
+    Otherwise a key's first draw is the least draw index in its run of
     the unstable sort; first draws are distinct, so the limit-th least of
     them keeps exactly `limit` keys.  For n < 2^31, int32 arm draws equal
     int64 ones and leave the generator in the same state."""
@@ -481,6 +534,10 @@ def _fresh_keys(rng, n: int, take: int, kept: np.ndarray, limit: int) -> np.ndar
     del i, j
     drawn = a[valid]
     del a, valid
+    head = np.sort(drawn[:limit])
+    if not (head[1:] == head[:-1]).any() and not np.isin(head, kept, assume_unique=True).any():
+        return head
+    del head
     order = np.argsort(drawn)
     ranked = drawn[order]
     del drawn
@@ -523,14 +580,22 @@ def _total_triples(n: int) -> int:
 
 def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
     """Apex angles of the cloud's triples, as the README's stream of blocks
-    (apex, arm1, arm2, angles): index arrays and float64 degrees.
+    (angles, decode): float64 degrees, and a function from positions in
+    the block (an int or an index array) to the (apex, arm1, arm2) indices
+    of those triples, which a consumer calls only where it needs them.
 
     Triples with an arm no longer than the cloud's degeneracy threshold
     are left out.  Fewer than 3 points, or a budget below 1, are
-    rejected before any triple is measured.  The exhaustive stream has
-    one block per apex; the sampled one decodes and measures consecutive
-    keys of the sorted sample, PAIR_BLOCK // d at a time, and holds
-    arrays of one such block besides the sample, 8 bytes per budget
+    rejected before any triple is measured.  The exhaustive stream
+    measures batches of 1, 2, 4, ... consecutive apexes in one pass, as
+    many as keep the stacked m x m cosine matrices, m = n - 1 arms, within
+    PAIR_BLOCK entries; an apex with a short arm is its batch alone.  A
+    batch is one block, unless its apex has more than PAIR_BLOCK pairs,
+    which it yields in runs of whole rows: the stream then holds that
+    apex's cosines, 8 bytes per entry, and one block with the mask of its
+    rows.  The sampled one decodes and measures
+    consecutive keys of the sorted sample, PAIR_BLOCK // d at a time, and
+    holds arrays of one such block besides the sample, 8 bytes per budget
     triple: its peak is about the sampler's 66.
     """
     n = pts.shape[0]
@@ -555,27 +620,36 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
             np.divide(v, nv[:, None], out=v, where=ok[:, None])
             cos = np.clip(np.einsum("ij,ij->i", u, v)[ok], -1.0, 1.0)
             del u, v, nu, nv
-            yield a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
+            yield np.degrees(np.arccos(cos)), _row_decoder(a[ok], i[ok], j[ok])
         return
-    try:
-        for a in range(n):
-            got = _apex_pair_angles(pts, a, threshold)
-            if got is None:
-                continue
-            arms, iu, ju, ang = got
-            yield np.full(ang.shape[0], a), arms[iu], arms[ju], ang
-    finally:
-        _upper_pairs.cache_clear()  # no index pair outlives the scan
+    m = n - 1
+    cap = max(1, PAIR_BLOCK // (m * m))
+    runs = list(_row_runs(m))
+    whole = None  # cap triangles' masks, if one run holds a triangle
+    if len(runs) == 1:
+        whole = np.broadcast_to(_pair_mask(m, 0, m - 1), (cap, m - 1, m)).copy()
+    a, size = 0, 1
+    while a < n:
+        apexes, arms, cos = _apex_batch(pts, np.arange(a, min(a + size, n)), threshold)
+        a += len(apexes)
+        size = min(2 * size, cap)
+        k = arms.shape[1]  # m, or one apex's arms without its short ones
+        batched = k == m and whole is not None
+        for lo, hi in runs if k == m else _row_runs(k):
+            upper = whole[: len(apexes)] if batched else _pair_mask(k, lo, hi)[None]
+            yield _pair_angles(cos[:, lo:hi], upper), _pair_decoder(apexes, arms, lo, hi)
+            del upper
+        del cos  # before the next batch's
 
 
 def _block_hit(cloud: PointCloud, block, window: AngleInterval) -> Optional[TripleWitness]:
-    """Witness (angle remeasured by `angle_at`) from the block's first in-window triple."""
-    *triple, ang = block
+    """Witness (angle remeasured by `angle_at`) from the block's first
+    in-window triple, the one position the block decodes."""
+    ang, decode = block
     hit = (ang > window.lo) & (ang < window.hi)
     if not hit.any():
         return None
-    t = int(np.argmax(hit))
-    return _triple_witness(cloud.points, *(int(index[t]) for index in triple))
+    return _triple_witness(cloud.points, *(int(k) for k in decode(int(np.argmax(hit)))))
 
 
 def angle_spectrum(
@@ -589,7 +663,8 @@ def angle_spectrum(
     Intended for clouds small enough that the full list fits in memory.
     """
     blocks = _triple_angle_blocks(cloud.points, budget, seed)
-    a, i, j, ang = (np.concatenate(column) for column in zip(*blocks))
+    columns = [(*decode(np.arange(len(ang))), ang) for ang, decode in blocks]
+    a, i, j, ang = (np.concatenate(column) for column in zip(*columns))
     points = [cloud.point(k) for k in range(len(cloud))]
     out = []
     for t in np.lexsort((j, i, a, ang)):

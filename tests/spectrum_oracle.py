@@ -4,9 +4,11 @@
 library had before it measured every triple through one stream of array
 blocks, and `unique_sampled_triples` the array sampler that found each
 key's first draw with a stable `np.unique`; `sampled_block` measures that
-sample in one block, as the stream did before it went in row blocks;
-`spectrum_payload` is the `spectrum` subcommand's JSON built from them.
-All three scans measure each apex with `apex_pair_angles`, the per-apex
+sample in one block, as the stream did before it went in row blocks, and
+`exhaustive_blocks` yields the exhaustive stream one block per apex, as it
+did before it measured apexes in batches; `spectrum_payload` is the
+`spectrum` subcommand's JSON built from them.
+The exhaustive scans measure each apex with `apex_pair_angles`, the per-apex
 angle block as it was before the library split it into a cosine kernel and
 an index pair built once per arm count.  `near_extreme_witness` keeps the
 apex loop that measured every pair, and `vector_angle_degrees` the
@@ -104,6 +106,16 @@ def sampled_block(pts, budget, seed):
     return a[ok], i[ok], j[ok], np.degrees(np.arccos(cos))
 
 
+def exhaustive_blocks(pts):
+    """The exhaustive stream, one block (apex, arm1, arm2, angles) per apex."""
+    threshold = _cloud_threshold(pts)
+    for a in range(pts.shape[0]):
+        got = apex_pair_angles(pts, a, threshold)
+        if got is not None:
+            arms, iu, ju, ang = got
+            yield np.full(ang.shape[0], a), arms[iu], arms[ju], ang
+
+
 def angle_spectrum(cloud, budget=None, seed=0):
     _require_cloud(cloud, 3)
     pts = cloud.points
@@ -177,15 +189,22 @@ def spectrum_hits(cloud, window, budget=None, seed=0):
 
 def spectrum_payload(cloud, window, alpha, radius, budget=None, seed=0):
     witness = spectrum_hits(cloud, window, budget=budget, seed=seed)
-    pairs = angle_spectrum(cloud, budget=budget, seed=seed)
-    angles = np.array([a for a, _ in pairs], dtype=float)
-    counts, edges = np.histogram(angles, bins=np.linspace(0.0, 180.0, 37))
     total = _total_triples(len(cloud))
+    exhaustive = budget is None or budget >= total
+    if exhaustive:  # apex by apex, so that large clouds need no witness per triple
+        blocks = (block[3] for block in exhaustive_blocks(cloud.points))
+    else:
+        pairs = angle_spectrum(cloud, budget=budget, seed=seed)
+        blocks = [np.array([a for a, _ in pairs], dtype=float)]
+    edges = np.linspace(0.0, 180.0, 37)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for angles in blocks:
+        counts += np.histogram(angles, bins=edges)[0]
     return {
         "window": [window.lo, window.hi],
-        "exhaustive": budget is None or budget >= total,
+        "exhaustive": exhaustive,
         "total_triples": total,
-        "scanned": len(pairs),
+        "scanned": int(counts.sum()),
         "witness": None
         if witness is None
         else witness.to_json_dict("spectrum", {"alpha": alpha, "radius": radius}),

@@ -20,7 +20,7 @@ from anglelab.anglefind import almost_regular_triangle, near_extreme_witness, ne
 from anglelab.cli import build_parser, main
 from anglelab.content import DyadicGrid
 from anglelab.errors import AngleLabError
-from anglelab.geom import AngleInterval, _apex_pair_angles, spectrum_hits
+from anglelab.geom import AngleInterval, spectrum_hits
 from anglelab.ifs import deviation_of_corners, gasket_ifs, iterate_cloud, rectangle_in
 
 EQ_CLOUD = {
@@ -168,6 +168,18 @@ def test_spectrum_json_matches_reference_scan(capsys, tmp_path):
         assert sum(count for _, _, count in data["histogram"]) == 500
 
 
+def test_spectrum_json_at_depth_4_matches_reference_scan(capsys, tmp_path):
+    # 243 points, 7,086,123 triples, in batches of one apex
+    gasket = str(tmp_path / "gasket.json")
+    assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "4", "--out", gasket]) == 0
+    cloud = PointCloud.from_json_dict(json.loads(Path(gasket).read_text()))
+    for alpha, radius in ((30.0, 5.0), (60.0, 5.0)):
+        code = main(["spectrum", "--cloud", gasket, "--alpha", str(alpha), "--window", str(radius)])
+        want = spectrum_oracle.spectrum_payload(cloud, AngleInterval(alpha, radius), alpha, radius)
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert code == (1 if want["witness"] is None else 0)
+
+
 def test_spectrum_rejects_budget_below_one(capsys, tmp_path):
     cloud = write_cloud(tmp_path, EQ_CLOUD)
     for budget in ("0", "-1"):
@@ -196,17 +208,24 @@ def test_spectrum_budget_beyond_memory_exits_as_budget_exceeded(capsys, tmp_path
 def test_spectrum_without_a_hit_measures_each_apex_once(capsys, tmp_path, monkeypatch):
     gasket = str(tmp_path / "gasket.json")
     assert main(["gasket", "--n", "2", "--delta", "0.005", "--depth", "3", "--out", gasket]) == 0
-    blocks = []
+    apexes = []
+    real = cli._triple_angle_blocks
 
-    def counting(pts, a, threshold):
-        blocks.append(a)
-        return _apex_pair_angles(pts, a, threshold)
+    def decoding(*args):
+        for ang, decode in real(*args):
+            apexes.append(decode(np.arange(len(ang)))[0])
+            yield ang, decode
+        apexes.append(None)  # the stream ran to its end
 
-    monkeypatch.setattr("anglelab.geom._apex_pair_angles", counting)
+    monkeypatch.setattr(cli, "_triple_angle_blocks", decoding)
     # the gasket avoids 30 +- 5 degrees, so the scan never stops early
     code, data = run_json(capsys, ["spectrum", "--cloud", gasket, "--alpha", "30", "--window", "5"])
     assert code == 1 and data["witness"] is None
-    assert blocks == list(range(81))
+    assert apexes.pop() is None
+    measured = np.concatenate(apexes)
+    # apex by apex, each with all C(80, 2) pairs of its arms
+    assert np.all(np.diff(measured) >= 0)
+    assert np.bincount(measured).tolist() == [math.comb(80, 2)] * 81
 
 
 def test_minkdim_matches_library(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """The extreme-angle reduction against the exhaustive apex loop in spectrum_oracle,
 and the per-apex kernels it shares with the triple-angle stream."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,6 @@ from anglelab.geom import (
     _apex_cosines,
     _apex_pair_angles,
     _cloud_threshold,
-    _upper_pairs,
     angle_spectrum,
     regular_simplex,
     spectrum_hits,
@@ -186,12 +186,20 @@ def test_pair_angle_blocks_are_the_reference_blocks(cloud):
 
 
 def test_index_pairs_do_not_outlive_the_stream():
-    cloud = PointCloud(np.random.default_rng(4).normal(size=(30, 3)))
-    _upper_pairs.cache_clear()
-    angle_spectrum(cloud)
-    assert _upper_pairs.cache_info().currsize == 0
-    # a hit ends the stream early
-    assert spectrum_hits(cloud, AngleInterval(90.0, 90.0)) is not None
-    assert _upper_pairs.cache_info().currsize == 0
-    iu, ju = _upper_pairs(5)
-    assert not iu.flags.writeable and not ju.flags.writeable
+    cloud = PointCloud(np.random.default_rng(4).normal(size=(31, 3)))
+    # the stream's triangle masks (63 kB here, 72 apexes' worth) go with
+    # it, whether it runs to its end or a hit ends it early
+    tracemalloc.start()
+    try:
+        for window, hit in ((AngleInterval(1.0, 1e-9), False), (AngleInterval(90.0, 90.0), True)):
+            before = tracemalloc.get_traced_memory()[0]
+            assert (spectrum_hits(cloud, window) is not None) == hit
+            assert tracemalloc.get_traced_memory()[0] - before < 4096
+    finally:
+        tracemalloc.stop()
+    spectrum = angle_spectrum(cloud)
+    # index arrays handed to a caller are its own: writing them changes no later scan
+    _, iu, ju, _ = _apex_pair_angles(cloud.points, 0, _cloud_threshold(cloud.points))
+    iu[:] = 0
+    ju[:] = 0
+    assert angle_spectrum(cloud) == spectrum

@@ -71,6 +71,13 @@ def sample_sizes(draw, most=16):
     return n, budget
 
 
+def _columns(blocks):
+    """The stream's blocks joined as (apex, arm1, arm2, angles) columns,
+    every position decoded."""
+    columns = [(*decode(np.arange(len(ang))), ang) for ang, decode in blocks]
+    return [np.concatenate(column) for column in zip(*columns)]
+
+
 def _decoded(keys, n):
     """The sampler's sorted keys as (apex, i, j) rows."""
     return np.stack([keys // (n * n), keys // n % n, keys % n], axis=1)
@@ -78,7 +85,9 @@ def _decoded(keys, n):
 
 @SETTINGS
 @given(sample_sizes(), st.integers(0, 2**32 - 1))
-@example((1296, 40000), 7)
+@example((1296, 40000), 5)  # the first 40,000 valid draws are distinct: kept as drawn
+@example((1296, 40000), 7)  # one of them repeats a key: deduplicated by first draw
+@example((9, 100), 1)  # as the measure workload samples: 11 of the first 100 repeat
 @example((40, 29639), 3)
 def test_sampler_replays_the_reference_draws(size, seed):
     n, budget = size
@@ -162,6 +171,104 @@ def test_sampled_scan_measures_the_reference_triples(n, d, seed, data):
     )
 
 
+def _joined(blocks):
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _bitwise_equal(got, want):
+    """Equal columns of 8-byte ints or floats, compared by their bits."""
+    return all(
+        g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
+        for g, w in zip(got, want)
+    )
+
+
+@st.composite
+def batched_clouds(draw, most=90):
+    """Clouds of 30 to `most` points in R^1..R^5, measured in doubling
+    batches of apexes, capped at PAIR_BLOCK // (n - 1)^2 apexes from about
+    50 points on; some with a near-duplicate point inside, whose apex has
+    a short arm and so ends a batch and is measured alone."""
+    n = draw(st.integers(30, most))
+    d = draw(st.integers(1, 5))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
+    if draw(st.booleans()):
+        twin = pts[draw(st.integers(0, n - 1))] + 1e-15
+        pts = np.insert(pts, draw(st.integers(1, n - 1)), twin, axis=0)
+    return PointCloud(pts)
+
+
+def _windows(data, angles):
+    """Windows around angles of the spectrum, so that the first hit falls
+    anywhere in the stream, not only at its first apex."""
+    for _ in range(3):
+        center = float(angles[data.draw(st.integers(0, len(angles) - 1))])
+        yield AngleInterval(center, data.draw(st.sampled_from([1e-9, 1e-3, 1.0])))
+
+
+@SETTINGS
+@given(batched_clouds(), st.data())
+def test_batched_stream_is_bitwise_the_apex_by_apex_stream(cloud, data):
+    got = _columns(_triple_angle_blocks(cloud.points, None, 0))
+    want = _joined(oracle.exhaustive_blocks(cloud.points))
+    assert _bitwise_equal(got, want)
+    for window in _windows(data, got[3]):
+        assert _fields(spectrum_hits(cloud, window)) == _fields(oracle.spectrum_hits(cloud, window))
+
+
+@settings(SETTINGS, max_examples=5)
+@given(batched_clouds(most=60))
+def test_batched_spectrum_is_bitwise_the_reference(cloud):
+    assert _rows(angle_spectrum(cloud)) == _rows(oracle.angle_spectrum(cloud))
+
+
+@SETTINGS
+@given(clouds(), st.one_of(st.integers(1, 10), st.integers(1, 300)), st.data())
+def test_row_runs_and_capped_batches_are_bitwise_the_reference(cloud, block, data):
+    # a small PAIR_BLOCK splits an apex's pairs into runs of rows, down to
+    # one row, and caps batches at a few apexes, on clouds the oracle scans fast
+    m = len(cloud) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geom, "PAIR_BLOCK", block)
+        sizes = [len(ang) for ang, _ in _triple_angle_blocks(cloud.points, None, 0)]
+        got = _columns(_triple_angle_blocks(cloud.points, None, 0))
+        spectrum = angle_spectrum(cloud)
+        windows = list(_windows(data, got[3]))
+        hits = [spectrum_hits(cloud, window) for window in windows]
+    assert max(sizes) <= max(block, m - 1)
+    assert _bitwise_equal(got, _joined(oracle.exhaustive_blocks(cloud.points)))
+    assert _rows(spectrum) == _rows(oracle.angle_spectrum(cloud))
+    for window, hit in zip(windows, hits):
+        assert _fields(hit) == _fields(oracle.spectrum_hits(cloud, window))
+
+
+def test_exhaustive_stream_holds_one_apex_cosines_and_one_block():
+    # 1,200 arms per apex: 719,400 pairs, in 12 runs of rows of at most
+    # PAIR_BLOCK pairs each
+    pts = PointCloud(np.random.default_rng(6).normal(size=(1201, 2))).points
+    m = len(pts) - 1
+    block = 8 * PAIR_BLOCK  # bytes of one block's angles
+    tracemalloc.start()
+    try:
+        stream = _triple_angle_blocks(pts, None, 0)
+        next(stream)
+        first = tracemalloc.get_traced_memory()[1]
+        # on into the second apex, a consumer holding one block at a time
+        for _ in range(14):
+            held = next(stream)
+        del held
+        walk = tracemalloc.get_traced_memory()[1]
+        stream.close()
+    finally:
+        tracemalloc.stop()
+    # the apex's m x m cosines, the first block's angles and the mask of
+    # its rows (1.14 blocks here); 24 m^2 bytes when the stream gathered an
+    # apex's whole triangle through a cached index pair
+    assert 8 * m * m < first < 8 * m * m + 2 * block
+    # the next apex's cosines replace these, and the consumer's block joins
+    assert walk < 8 * m * m + 3 * block
+
+
 def _highdim_points():
     """gasket(5, 0.005) at depth 3: 1,296 points in R^5, 1.1e9 triples."""
     ifs = gasket_ifs(5, 0.005)
@@ -195,7 +302,7 @@ def test_sampled_blocks_are_bitwise_the_one_block_measurement(scan, seed):
     blocks = list(_triple_angle_blocks(pts, budget, seed))
     rows = PAIR_BLOCK // pts.shape[1]
     assert len(blocks) == -(-budget // rows)
-    got = [np.concatenate(column) for column in zip(*blocks)]
+    got = _columns(blocks)
     want = oracle.sampled_block(pts, budget, seed)
     for g, w in zip(got[:3], want[:3]):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -240,7 +347,7 @@ def test_sampled_scan_never_divides_by_a_short_arm():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         blocks = list(_triple_angle_blocks(pts, 20, 1))
-    got = [np.concatenate(column) for column in zip(*blocks)]
+    got = _columns(blocks)
     want = oracle.sampled_block(pts, 20, 1)
     assert len(got[3]) == 16
     for g, w in zip(got, want):
