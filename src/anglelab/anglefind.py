@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dimension import _blocks, _dyadic_packings, _normalize_unit, _well_spread_core
+from .dimension import _dyadic_packings, _normalize_unit, _well_spread_core
 from .errors import (
     AngleLabError,
     InvalidArity,
@@ -24,10 +24,11 @@ from .geom import (
     Point,
     PointCloud,
     TripleWitness,
-    _apex_cosines,
+    _apex_batch,
     # benchmarks/tracing.py hooks it through anglefind
     _apex_pair_angles,  # noqa: F401
     _bbox,
+    _blocks,
     _cloud_threshold,
     _projection_pair,
     _triple_witness,
@@ -58,9 +59,13 @@ class RegularityParams:
 
 
 def _n_colors(delta: float) -> int:
-    """N = max(2, ceil(3/delta)), the color count of a regularity target delta."""
-    if not (0.0 < delta < math.inf) or 3.0 / delta == math.inf:
-        raise InvalidWindow("regularity delta must be positive and finite, and 3/delta finite")
+    """N = max(2, ceil(3/delta)), the color count of a regularity target delta.
+
+    3/delta must stay below 2^62: `color_distances` casts color floors of
+    about N to int64, which overflows beyond that and colors every pair 0.
+    """
+    if not (0.0 < delta < math.inf) or 3.0 / delta >= 2.0**62:
+        raise InvalidWindow("regularity delta must be positive and finite, and 3/delta below 2^62")
     return max(2, math.ceil(3.0 / delta))
 
 
@@ -266,10 +271,10 @@ def near_extreme_witness(cloud: PointCloud, target: str) -> TripleWitness:
     best_val = math.inf
     best: tuple[int, int, int] | None = None
     for a in range(n):
-        got = _apex_cosines(pts, a, threshold)
-        if got is None:
+        _, arms, cos = _apex_batch(pts, np.array([a]), threshold)
+        if arms.shape[1] < 2:
             continue
-        arms, cos = got
+        arms, cos = arms[0], cos[0]
         if sign < 0.0:
             np.negative(cos, out=cos)  # the extreme cosine is now the largest
         np.fill_diagonal(cos, -np.inf)

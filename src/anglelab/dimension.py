@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptyCloud, InvalidScales
-from .geom import PAIR_BLOCK, Point, PointCloud, _bbox, _column_diffs, _row_groups
+from .geom import Point, PointCloud, _bbox, _blocks, _column_diffs, _row_groups
 
 
 def _normalize_unit(pts: np.ndarray) -> np.ndarray:
@@ -62,20 +62,6 @@ def _cells(pts: np.ndarray, side: float) -> np.ndarray:
     if not (-(2.0**63) < lo and hi < 2.0**63 and hi - lo < 2.0**63):
         raise InvalidScales(f"scale too fine: cells of side {side:g} have indices beyond int64")
     return cells.astype(np.int64)
-
-
-def _blocks(counts: np.ndarray, cap: int = PAIR_BLOCK):
-    """Consecutive slices covering `counts`, each the longest run from its
-    start whose counts sum to at most `cap`, or one item if that alone
-    has more.  Every gather of pairs goes in these blocks of its items'
-    pair counts, so it holds at most PAIR_BLOCK pairs, or one item's."""
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(ends):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
-        yield slice(lo, hi)
-        lo = hi
 
 
 def _cell_slab(cells: np.ndarray, queries: np.ndarray):

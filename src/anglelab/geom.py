@@ -40,6 +40,22 @@ PAIR_BLOCK = 1 << 16
 ROW_BLOCK = 1024
 
 
+def _blocks(counts: np.ndarray, cap: int | None = None):
+    """Consecutive slices covering `counts`, each the longest run from its
+    start whose counts sum to at most `cap`, or one item if that alone
+    has more.  Every gather of pairs goes in these blocks of its items'
+    pair counts, so it holds at most PAIR_BLOCK pairs, or one item's.
+    `cap` defaults to PAIR_BLOCK as it reads when called."""
+    cap = PAIR_BLOCK if cap is None else cap
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(ends):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _as_vector(p, dimension: int | None = None) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim != 1:
@@ -437,31 +453,6 @@ def _apex_batch(pts: np.ndarray, apexes: np.ndarray, threshold: float):
     return apexes[:k], arms[:k], np.matmul(unit, unit.transpose(0, 2, 1))
 
 
-def _apex_cosines(pts: np.ndarray, a: int, threshold: float):
-    """Inner products of the unit arms at apex index a, unclipped.
-
-    Returns (arm_indices, cosmat), where cosmat[i, j] belongs to the
-    arms toward arm_indices[i] and arm_indices[j] (the diagonal
-    included), or None if fewer than two arms are longer than
-    `threshold`.
-    """
-    _, arms, cos = _apex_batch(pts, np.array([a]), threshold)
-    return None if arms.shape[1] < 2 else (arms[0], cos[0])
-
-
-def _row_runs(m: int):
-    """Runs [lo, hi) of whole rows of the strict upper triangle of an
-    m x m matrix, of at most PAIR_BLOCK pairs each (one row, if it holds
-    more)."""
-    r = np.arange(m)
-    starts = r * (2 * m - 1 - r) // 2  # each row's first pair, row-major
-    lo = 0
-    while lo < m - 1:
-        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + PAIR_BLOCK, "right")) - 1)
-        yield lo, hi
-        lo = hi
-
-
 def _pair_mask(m: int, lo: int, hi: int) -> np.ndarray:
     """Mask of the pairs i < j among rows lo <= i < hi of an m x m matrix."""
     return np.arange(lo, hi)[:, None] < np.arange(m)
@@ -484,12 +475,12 @@ def _apex_pair_angles(pts: np.ndarray, a: int, threshold: float):
     upper triangle in lexicographic (i, j) order over arm positions, or
     None if fewer than two valid arms exist.
     """
-    got = _apex_cosines(pts, a, threshold)
-    if got is None:
+    _, arms, cos = _apex_batch(pts, np.array([a]), threshold)
+    k = arms.shape[1]
+    if k < 2:
         return None
-    arms, cosmat = got
-    upper = _pair_mask(len(arms), 0, len(arms))
-    return arms, *np.nonzero(upper), _pair_angles(cosmat, upper)
+    upper = _pair_mask(k, 0, k)
+    return arms[0], *np.nonzero(upper), _pair_angles(cos[0], upper)
 
 
 def _pair_decoder(apexes: np.ndarray, arms: np.ndarray, lo: int, hi: int):
@@ -591,9 +582,10 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
     many as keep the stacked m x m cosine matrices, m = n - 1 arms, within
     PAIR_BLOCK entries; an apex with a short arm is its batch alone.  A
     batch is one block, unless its apex has more than PAIR_BLOCK pairs,
-    which it yields in runs of whole rows: the stream then holds that
-    apex's cosines, 8 bytes per entry, and one block with the mask of its
-    rows.  The sampled one decodes and measures
+    which it yields in runs of whole rows, the `_blocks` of its rows'
+    pair counts: the stream then holds that apex's cosines, 8 bytes per
+    entry, and one block with the mask of its rows.  The sampled one
+    decodes and measures
     consecutive keys of the sorted sample, PAIR_BLOCK // d at a time, and
     holds arrays of one such block besides the sample, 8 bytes per budget
     triple: its peak is about the sampler's 66.
@@ -624,7 +616,7 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
         return
     m = n - 1
     cap = max(1, PAIR_BLOCK // (m * m))
-    runs = list(_row_runs(m))
+    runs = list(_blocks(np.arange(m - 1, 0, -1)))  # row i holds m - 1 - i pairs
     whole = None  # cap triangles' masks, if one run holds a triangle
     if len(runs) == 1:
         whole = np.broadcast_to(_pair_mask(m, 0, m - 1), (cap, m - 1, m)).copy()
@@ -635,7 +627,8 @@ def _triple_angle_blocks(pts: np.ndarray, budget: int | None, seed: int):
         size = min(2 * size, cap)
         k = arms.shape[1]  # m, or one apex's arms without its short ones
         batched = k == m and whole is not None
-        for lo, hi in runs if k == m else _row_runs(k):
+        for run in runs if k == m else _blocks(np.arange(k - 1, 0, -1)):
+            lo, hi = run.start, run.stop
             upper = whole[: len(apexes)] if batched else _pair_mask(k, lo, hi)[None]
             yield _pair_angles(cos[:, lo:hi], upper), _pair_decoder(apexes, arms, lo, hi)
             del upper

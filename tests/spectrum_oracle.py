@@ -13,6 +13,8 @@ angle block as it was before the library split it into a cosine kernel and
 an index pair built once per arm count.  `near_extreme_witness` keeps the
 apex loop that measured every pair, and `vector_angle_degrees` the
 direction angle as it was before it read the library's `_unit_angle`.
+`row_runs` cuts a triangle's rows into runs as the exhaustive stream did
+before it cut them with the library's `_blocks`.
 Tests compare the library against these.
 """
 
@@ -40,6 +42,19 @@ def apex_pair_angles(pts, a, threshold):
     iu, ju = np.triu_indices(arms.shape[0], k=1)
     ang = np.degrees(np.arccos(cosmat[iu, ju]))
     return arms, iu, ju, ang
+
+
+def row_runs(m, cap):
+    """Runs [lo, hi) of whole rows of the strict upper triangle of an
+    m x m matrix, of at most `cap` pairs each (one row, if it holds
+    more)."""
+    r = np.arange(m)
+    starts = r * (2 * m - 1 - r) // 2  # each row's first pair, row-major
+    lo = 0
+    while lo < m - 1:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + cap, "right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _require_cloud(cloud, least):

@@ -241,6 +241,21 @@ def test_color_count_needs_a_finite_delta_and_count(delta):
         almost_regular_triangle(EQUILATERAL, delta)
 
 
+def test_color_count_below_two_to_the_62():
+    # at 2^62 colors or more, color_distances' int64 cast overflowed, every
+    # pair got color 0 and 150 random points gave a false witness
+    cloud = PointCloud(np.random.default_rng(0).uniform(size=(150, 2)))
+    for delta in (1e-19, 1e-20, 3.0 / 2.0**62):
+        with pytest.raises(InvalidWindow, match="3/delta below 2"):
+            regularity_params(delta)
+        with pytest.raises(InvalidWindow, match="3/delta below 2"):
+            almost_regular_triangle(cloud, delta)
+    least = math.nextafter(3.0 / 2.0**62, 1.0)  # the finest delta accepted
+    assert anglefind._n_colors(least) < 2**62
+    for delta in (least, 1e-18):
+        assert almost_regular_triangle(cloud, delta) is None
+
+
 def test_near_right_exact_right_angle():
     tri = PointCloud([(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)])
     w = near_right_witness(tri, 2, 1)

@@ -767,6 +767,20 @@ def test_infinite_parameters_exit_2(capsys, tmp_path, argv, message):
     assert "invalid input" in captured.err and message in captured.err
 
 
+def test_triangle_delta_beyond_int64_colors_exits_2(capsys, tmp_path):
+    # 3/delta at or above 2^62 colors overflowed the int64 color cast into
+    # a false witness; 1e-18 still finds no triangle on these points
+    pts = np.random.default_rng(0).uniform(size=(150, 2))
+    cloud = write_cloud(tmp_path, {"dimension": 2, "points": pts.tolist()})
+    for delta in ("1e-19", "1e-20"):
+        assert main(["triangle", "--cloud", cloud, "--delta", delta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "3/delta below 2^62" in captured.err
+    code, data = run_json(capsys, ["triangle", "--cloud", cloud, "--delta", "1e-18"])
+    assert code == 1 and data["points"] is None
+
+
 def _gasket_file(tmp_path) -> str:
     path = str(tmp_path / "gasket.json")
     assert main(["gasket", "--n", "2", "--delta", "0.25", "--depth", "3", "--out", path]) == 0

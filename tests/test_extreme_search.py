@@ -15,7 +15,7 @@ from anglelab.anglefind import near_extreme_witness
 from anglelab.geom import (
     AngleInterval,
     PointCloud,
-    _apex_cosines,
+    _apex_batch,
     _apex_pair_angles,
     _cloud_threshold,
     angle_spectrum,
@@ -107,10 +107,16 @@ def _stop(cloud, target):
 
 def _checked(cloud, target):
     """The witness, after checking it and the apexes visited against the reference."""
-    with mock.patch.object(anglefind, "_apex_cosines", wraps=_apex_cosines) as kernel:
+    visited = []
+
+    def recorder(*args):
+        got = _apex_batch(*args)
+        visited.extend(got[0].tolist())  # the apexes it measured
+        return got
+
+    with mock.patch.object(anglefind, "_apex_batch", recorder):
         got = near_extreme_witness(cloud, target)
     assert _fields(got) == _fields(oracle.near_extreme_witness(cloud, target))
-    visited = [call.args[1] for call in kernel.call_args_list]
     assert visited == list(range(_stop(cloud, target)))
     return got
 
@@ -145,10 +151,11 @@ def test_near_end_apex_before_an_exact_end(target):
 def test_unclipped_cosines_beyond_one(target):
     cloud = PointCloud([(3.0, 0.5), (0.0, 0.0), (1.0, 5.0), (2.0, 10.0)])
     pts = cloud.points
-    _, cos = _apex_cosines(pts, 1, _cloud_threshold(pts))
-    assert cos[1, 2] == cos[2, 1] == 1.0000000000000002  # apex 1, arms toward 2 and 3
-    _, cos = _apex_cosines(pts, 2, _cloud_threshold(pts))
-    assert cos[1, 2] == -1.0000000000000002  # apex 2 between 1 and 3
+    thr = _cloud_threshold(pts)
+    _, _, cos = _apex_batch(pts, np.array([1]), thr)
+    assert cos[0, 1, 2] == cos[0, 2, 1] == 1.0000000000000002  # apex 1, arms toward 2 and 3
+    _, _, cos = _apex_batch(pts, np.array([2]), thr)
+    assert cos[0, 1, 2] == -1.0000000000000002  # apex 2 between 1 and 3
     got = _checked(cloud, target)
     assert got.angle == END[target]
 

@@ -20,7 +20,6 @@ from anglelab.anglefind import (
     near_right_witness,
 )
 from anglelab.dimension import (
-    _blocks,
     _dyadic_packings,
     _greedy_pack_indices,
     _normalize_unit,
@@ -29,7 +28,7 @@ from anglelab.dimension import (
     well_spread_subset,
 )
 from anglelab.errors import AngleLabError
-from anglelab.geom import PointCloud
+from anglelab.geom import PointCloud, _blocks
 from anglelab.ifs import gasket_ifs, iterate_cloud
 
 SETTINGS = settings(

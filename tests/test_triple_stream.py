@@ -17,6 +17,7 @@ from anglelab.geom import (
     PAIR_BLOCK,
     AngleInterval,
     PointCloud,
+    _blocks,
     _sampled_triples,
     _total_triples,
     _triple_angle_blocks,
@@ -240,6 +241,17 @@ def test_row_runs_and_capped_batches_are_bitwise_the_reference(cloud, block, dat
     assert _rows(spectrum) == _rows(oracle.angle_spectrum(cloud))
     for window, hit in zip(windows, hits):
         assert _fields(hit) == _fields(oracle.spectrum_hits(cloud, window))
+
+
+@SETTINGS
+@given(st.integers(1, 800), st.integers(1, PAIR_BLOCK))
+@example(1, 1)
+@example(800, 1)
+@example(363, PAIR_BLOCK)  # the first triangle of more than PAIR_BLOCK pairs
+@example(800, 799)
+def test_triangle_rows_cut_by_blocks_are_the_reference_row_runs(m, cap):
+    got = [(run.start, run.stop) for run in _blocks(np.arange(m - 1, 0, -1), cap)]
+    assert got == list(oracle.row_runs(m, cap))
 
 
 def test_exhaustive_stream_holds_one_apex_cosines_and_one_block():
